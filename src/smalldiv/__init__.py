@@ -40,6 +40,7 @@ from .dirichlet import (
 from .errors import DivisorBudgetError, DomainError, NotCoprimeError, SmallDivError
 from .summatory import (
     BRUTE_CAP,
+    SUMMATORY_LIMIT,
     SigmaSummatoryReport,
     SummatoryReport,
     residual_report,

@@ -6,8 +6,10 @@ so perfect squares are never misclassified.
 
 Functions: a(n) = small_divisor_sum, its multiplicative companion b(n),
 sigma(n) (divisor sum), tau(n) (divisor count), plus factorization and
-divisor enumeration. Everything is pure and deterministic; values are plain
-Python ints, so there is no silent wraparound at any size.
+divisor enumeration. a(n) and b(n) are both computed from factorize(n), so
+their integer inputs lie in 1 <= n < 2**63. Everything is pure and
+deterministic; values are plain Python ints, so there is no silent wraparound
+at any size.
 """
 
 import math
@@ -159,33 +161,25 @@ def divisors(f: Factorization, cap: int = DIVISOR_CAP) -> list[int]:
 
 
 def small_divisor_sum(n: int) -> int:
-    """a(n): the sum of divisors d of n with d*d <= n.
+    """a(n): the sum of divisors d of n with d*d <= n, for 1 <= n < 2**63.
 
-    Equals 1 exactly when n is 1 or prime. Plain trial division up to
-    isqrt(n); this is the reference route, kept deliberately simple.
+    Equals 1 exactly when n is 1 or prime. Computed as
+    small_divisor_sum_factored(factorize(n)); every n in the domain has at
+    most 161280 divisors, well inside the default divisor budget.
     """
     if n < 1:
         raise DomainError("small_divisor_sum requires n >= 1")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += d
-    return total
+    return small_divisor_sum_factored(factorize(n))
 
 
 def small_divisor_sum_factored(f: Factorization, cap: int = DIVISOR_CAP) -> int:
-    """a(n) computed from a factorization, for n whose trial division is too slow.
+    """a(n) for n = f.value: the sum of its divisors d with d*d <= n.
 
-    Enumerates all divisors (subject to cap) and sums those with d*d <= n;
-    agrees with small_divisor_sum(f.value) everywhere.
+    Sums over divisors(f, cap), so the divisor budget applies. Also serves
+    factorizations built directly, whose value may exceed 2**63.
     """
-    if f.tau() > cap:
-        raise DivisorBudgetError(f"divisor count {f.tau()} exceeds cap {cap}")
     n = f.value
-    divs = [1]
-    for p, e in f.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sum(d for d in divs if d * d <= n)
+    return sum(d for d in divisors(f, cap) if d * d <= n)
 
 
 def sigma(f: Factorization) -> int:
@@ -214,18 +208,14 @@ def b_multiplicative(f: Factorization) -> int:
 
 
 def b_via_square_divisors(n: int) -> int:
-    """b(n) as the sum of square roots of the square divisors of n.
+    """b(n) as the sum of d over all d with d*d dividing n, for 1 <= n < 2**63.
 
-    Sums d over all d with d*d dividing n; equals b_multiplicative(factorize(n)).
-    Squarefree n gives 1 (only d=1 qualifies).
+    Squarefree n gives 1 (only d=1 qualifies). Computed as
+    b_multiplicative(factorize(n)).
     """
     if n < 1:
         raise DomainError("b_via_square_divisors requires n >= 1")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % (d * d) == 0:
-            total += d
-    return total
+    return b_multiplicative(factorize(n))
 
 
 @lru_cache(maxsize=4)

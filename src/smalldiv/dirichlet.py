@@ -120,8 +120,8 @@ def zeta_bracket(s: float, n_terms: int = DEFAULT_ZETA_TERMS) -> Bracket:
     sum is exactly rounded (math.fsum), so a constant 32-ulp floor on the
     radius covers all floating-point noise and width shrinks as N grows.
     """
-    if not s > 1.0:
-        raise DomainError("zeta_bracket requires s > 1")
+    if not 1.0 < s < math.inf:
+        raise DomainError("zeta_bracket requires finite s > 1")
     if n_terms < 10:
         raise DomainError("zeta_bracket requires n_terms >= 10")
     n = n_terms
@@ -151,8 +151,8 @@ def partial_dirichlet(series: Series, sigma: float, n_terms: int) -> DirichletPa
     """
     if not isinstance(series, Series):
         raise DomainError("series must be a Series member")
-    if not sigma > 0.0:
-        raise DomainError("partial_dirichlet requires sigma > 0")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError("partial_dirichlet requires finite sigma > 0")
     if n_terms < 1:
         raise DomainError("partial_dirichlet requires n_terms >= 1")
     values = _series_values(series, n_terms)
@@ -196,8 +196,8 @@ def euler_product_b(sigma: float, prime_bound: int = DEFAULT_EULER_PRIME_BOUND) 
     product is nondecreasing in prime_bound and converges to
     zeta(2 sigma - 1) zeta(sigma). Every factor exceeds 1.
     """
-    if not sigma > 1.5:
-        raise DomainError("euler_product_b requires sigma > 1.5")
+    if not 1.5 < sigma < math.inf:
+        raise DomainError("euler_product_b requires finite sigma > 1.5")
     if prime_bound < 2:
         raise DomainError("euler_product_b requires prime_bound >= 2")
     product = 1.0

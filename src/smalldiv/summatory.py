@@ -1,18 +1,15 @@
 """Exact evaluation of S(x) = sum of a(k) for k <= x, in O(sqrt x) time.
 
-Write each term a(k) as a sum over lattice points (u, y) with y a small
-divisor of k and u = k/y its cofactor, so y <= u and u*y <= x. Splitting at
-u = isqrt(x) gives two regions:
+Write each term a(k) as a sum over lattice points (y, u) with y a small
+divisor of k and u = k/y its cofactor, so y <= u and y*u <= x. Each small
+divisor y <= isqrt(x) pairs with the cofactors y .. x//y, which gives
 
-  * u <= isqrt(x): the column sum is the triangular number T(u), and the
-    whole region collapses to the closed form r(r+1)(r+2)/6 with r = isqrt(x);
-  * u > isqrt(x): the column sum is T(floor(x/u)), and consecutive u with the
-    same quotient are processed as one block.
+  S(x) = sum over y <= isqrt(x) of y * (x//y - y + 1),
 
-Both region sweeps touch O(sqrt x) blocks, all arithmetic is exact integer
-arithmetic, and a brute-force oracle (per-term accumulation of a(k)) is kept
-alongside for cross-checking. Reports compare S(x) against the smooth main
-term (2/3) x**1.5.
+one exact integer loop. The sum of sigma(k) is the same kind of loop, by the
+Dirichlet hyperbola method. A brute-force oracle (per-term accumulation of
+a(k)) is kept alongside for cross-checking. Reports compare S(x) against the
+smooth main term (2/3) x**1.5.
 """
 
 import math
@@ -26,6 +23,11 @@ from .errors import DomainError
 # The brute oracle costs O(x sqrt x) divisor marks; capped to keep any
 # accidental large call from stalling a test run.
 BRUTE_CAP = 10**6
+
+# The exact routes loop isqrt(x) times: 10**8 times at this limit, which
+# takes 26-29 s on one core of a 2-core Intel Xeon under CPython 3.11.
+# Larger x is rejected rather than left to run for minutes.
+SUMMATORY_LIMIT = 10**16
 
 
 def triangular(m: int) -> int:
@@ -54,24 +56,14 @@ def summatory_brute(x: int) -> int:
 
 
 def summatory_exact(x: int) -> int:
-    """Exact S(x) via the two-region lattice decomposition; O(sqrt x) time.
+    """Exact S(x) as the sum over y <= isqrt(x) of y * (x//y - y + 1).
 
-    Exact for any x >= 1 (integers never overflow here); evaluation up to
-    x = 10**12 stays well under a few seconds.
+    O(sqrt x) time and O(1) memory, for 1 <= x <= SUMMATORY_LIMIT: measured
+    2.3 s at 10**14 and 26 s at the limit.
     """
-    if x < 1:
-        raise DomainError("summatory_exact requires x >= 1")
-    r = math.isqrt(x)
-    # Region with cofactor u <= r: sum of T(u) in closed form.
-    total = r * (r + 1) * (r + 2) // 6
-    # Region with cofactor u > r: blocks of constant quotient q = x // u.
-    u = r + 1
-    while u <= x:
-        q = x // u
-        u_hi = x // q
-        total += (u_hi - u + 1) * (q * (q + 1) // 2)
-        u = u_hi + 1
-    return total
+    if not 1 <= x <= SUMMATORY_LIMIT:
+        raise DomainError(f"summatory_exact requires 1 <= x <= {SUMMATORY_LIMIT}")
+    return sum(y * (x // y - y + 1) for y in range(1, math.isqrt(x) + 1))
 
 
 @dataclass(frozen=True)
@@ -100,21 +92,21 @@ def residual_report(x: int) -> SummatoryReport:
 
 
 def sigma_summatory_exact(x: int) -> int:
-    """Exact sum of sigma(k) for k <= x, via sum over d <= x of d * floor(x/d).
+    """Exact sum of sigma(k) for k <= x, for 1 <= x <= SUMMATORY_LIMIT.
 
-    Uses the same constant-quotient blocking as summatory_exact, so it is
-    O(sqrt x) as well.
+    The sum counts d over lattice points d*q <= x. By the hyperbola method
+    with r = isqrt(x) it is the sum over d <= r of d*(x//d) + T(x//d), minus
+    the doubly counted square r * T(r); O(sqrt x) time, measured 3.2 s at
+    10**14 and 29 s at the limit.
     """
-    if x < 1:
-        raise DomainError("sigma_summatory_exact requires x >= 1")
+    if not 1 <= x <= SUMMATORY_LIMIT:
+        raise DomainError(f"sigma_summatory_exact requires 1 <= x <= {SUMMATORY_LIMIT}")
+    r = math.isqrt(x)
     total = 0
-    u = 1
-    while u <= x:
-        q = x // u
-        u_hi = x // q
-        total += q * (u + u_hi) * (u_hi - u + 1) // 2
-        u = u_hi + 1
-    return total
+    for d in range(1, r + 1):
+        q = x // d
+        total += d * q + q * (q + 1) // 2
+    return total - r * triangular(r)
 
 
 @dataclass(frozen=True)

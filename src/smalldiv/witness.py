@@ -13,12 +13,7 @@ the inequality can fail when gcd(m, n) > 1.
 import math
 from dataclasses import dataclass
 
-from .core import (
-    Factorization,
-    factorize,
-    small_divisor_sum,
-    small_divisor_sum_factored,
-)
+from .core import Factorization, small_divisor_sum, small_divisor_sum_factored
 from .errors import DomainError, NotCoprimeError
 from .primes import first_primes, primes_upto
 
@@ -103,9 +98,9 @@ def supermult_check(m: int, n: int) -> SupermultCheck:
         raise DomainError("supermult_check requires m, n >= 1")
     if math.gcd(m, n) != 1:
         raise NotCoprimeError(f"gcd({m}, {n}) = {math.gcd(m, n)} != 1")
-    a_m = small_divisor_sum_factored(factorize(m))
-    a_n = small_divisor_sum_factored(factorize(n))
-    a_mn = small_divisor_sum_factored(factorize(m * n))
+    a_m = small_divisor_sum(m)
+    a_n = small_divisor_sum(n)
+    a_mn = small_divisor_sum(m * n)
     return SupermultCheck(m, n, a_mn, a_m * a_n, a_mn >= a_m * a_n)
 
 

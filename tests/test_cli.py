@@ -32,6 +32,8 @@ class TestScalarCommands:
             (("b", "72"), "n,b\n72,12\n"),
             (("sigma", "36"), "n,sigma\n36,91\n"),
             (("tau", "72"), "n,tau\n72,12\n"),
+            (("a", "4611686018427387847"), "n,a\n4611686018427387847,1\n"),
+            (("b", "4611686018427387847"), "n,b\n4611686018427387847,1\n"),
         ],
     )
     def test_scalars(self, capsys, argv, expected):
@@ -200,10 +202,21 @@ class TestErrorHandling:
             ("divergence", "--terms", "0"),
             ("summatory", "--x", "2000000", "--method", "brute"),
             ("residual", "--points", "10,abc"),
+            ("dirichlet", "--series", "a", "--sigma", "inf", "--terms", "10"),
+            ("euler", "--sigma", "inf", "--primes", "10"),
+            ("summatory", "--x", "1000000000000000000"),
+            ("residual", "--points", "1000000000000000000"),
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 3, argv
             assert out == ""
+
+    def test_a_and_b_beyond_factorize_limit(self, capsys):
+        for command in ("a", "b"):
+            code, out, err = run_cli(capsys, command, str(2**63))
+            assert code == 3
+            assert out == ""
+            assert len(err.splitlines()) == 1
 
     def test_usage_errors_exit_2(self, capsys):
         assert run_cli(capsys, "nosuchcommand")[0] == 2

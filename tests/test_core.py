@@ -131,7 +131,7 @@ class TestDivisors:
 class TestSmallDivisorSum:
     @pytest.mark.parametrize(
         "n,expected",
-        [(24, 10), (36, 16), (864, 130), (1, 1), (97, 1), (72, 24)],
+        [(24, 10), (36, 16), (864, 130), (1, 1), (97, 1), (72, 24), (4611686018427387847, 1)],
     )
     def test_known_values(self, n, expected):
         assert small_divisor_sum(n) == expected
@@ -159,13 +159,17 @@ class TestSmallDivisorSum:
 
     def test_factored_route_agrees(self):
         for n in range(1, 10**4 + 1):
-            assert small_divisor_sum_factored(factorize(n)) == small_divisor_sum(n)
+            assert small_divisor_sum_factored(factorize(n)) == reference.small_divisor_sum(n)
 
     def test_factored_route_agrees_large_random(self):
         rng = random.Random(11)
         for _ in range(100):
             n = rng.randrange(1, 2**40)
-            assert small_divisor_sum_factored(factorize(n)) == small_divisor_sum(n)
+            assert small_divisor_sum_factored(factorize(n)) == reference.small_divisor_sum(n)
+
+    def test_rejects_beyond_factorize_limit(self):
+        with pytest.raises(DomainError):
+            small_divisor_sum(2**63)
 
     def test_factored_witness_value(self):
         primes = first_primes(7)
@@ -215,7 +219,7 @@ class TestB:
         assert b_via_square_divisors(1) == 1
 
     def test_squarefree_gives_one(self):
-        for n in (2, 3, 5, 6, 7, 10, 15, 30, 210, 9699690):
+        for n in (2, 3, 5, 6, 7, 10, 15, 30, 210, 9699690, 4611686018427387847):
             assert b_via_square_divisors(n) == 1
 
     def test_rejects_zero(self):
@@ -224,7 +228,11 @@ class TestB:
 
     def test_routes_agree(self):
         for n in range(1, 10**4 + 1):
-            assert b_via_square_divisors(n) == b_multiplicative(factorize(n)), n
+            assert b_multiplicative(factorize(n)) == reference.b_square_divisor_sum(n), n
+
+    def test_rejects_beyond_factorize_limit(self):
+        with pytest.raises(DomainError):
+            b_via_square_divisors(2**63)
 
     def test_matches_reference(self):
         for n in range(1, 2000):

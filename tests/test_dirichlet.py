@@ -79,6 +79,11 @@ class TestZetaBracket:
         with pytest.raises(DomainError):
             zeta_bracket(2.0, 5)
 
+    def test_rejects_non_finite(self):
+        for s in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="requires finite"):
+                zeta_bracket(s)
+
 
 class TestPartialDirichlet:
     def test_single_term_is_one(self):
@@ -130,6 +135,12 @@ class TestPartialDirichlet:
             partial_dirichlet(Series.A, 1.5, 0)
         with pytest.raises(DomainError):
             partial_dirichlet("a", 1.5, 10)
+
+    def test_rejects_non_finite(self):
+        for series in Series:
+            for sigma in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    partial_dirichlet(series, sigma, 10)
 
 
 class TestDivergenceLowerBound:
@@ -194,6 +205,11 @@ class TestEulerProduct:
             euler_product_b(1.5, 100)
         with pytest.raises(DomainError):
             euler_product_b(3.0, 1)
+
+    def test_rejects_non_finite(self):
+        for sigma in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                euler_product_b(sigma, 10)
 
 
 class TestSandwich:

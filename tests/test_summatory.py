@@ -7,6 +7,7 @@ import reference
 from smalldiv.errors import DomainError
 from smalldiv.summatory import (
     BRUTE_CAP,
+    SUMMATORY_LIMIT,
     residual_report,
     sigma_summatory_exact,
     sigma_summatory_report,
@@ -141,3 +142,30 @@ class TestSigmaSummatory:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             sigma_summatory_report(0)
+
+
+# S(10**k) and the sum of sigma(k) up to 10**k, pinned above the brute
+# oracle's reach. Both the single hyperbola loops and the earlier
+# constant-quotient block routine produce every value here.
+LARGE_VALUES = {
+    7: (21079393403, 82246711794796),  # the sigma sum is OEIS A072692(7)
+    8: (666642406116, 8224670422194237),
+    9: (21081603178979, 822467034112360628),
+    10: (666664179446143, 82246703352400266400),
+    11: (21081826114560070, 8224670334323560419029),
+    12: (666666417202103148, 822467033425357340138978),
+    13: (21081848568892780868, 82246703342420509396897774),
+}
+
+
+class TestLargeValues:
+    @pytest.mark.parametrize("k", sorted(LARGE_VALUES))
+    def test_pinned(self, k):
+        s_value, sigma_value = LARGE_VALUES[k]
+        assert summatory_exact(10**k) == s_value
+        assert sigma_summatory_exact(10**k) == sigma_value
+
+    def test_limit(self):
+        for f in (summatory_exact, sigma_summatory_exact, residual_report, sigma_summatory_report):
+            with pytest.raises(DomainError):
+                f(SUMMATORY_LIMIT + 1)
