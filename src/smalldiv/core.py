@@ -9,17 +9,21 @@ sigma(n) (divisor sum), tau(n) (divisor count), plus factorization and
 divisor enumeration. a(n) and b(n) are both computed from factorize(n), so
 their integer inputs lie in 1 <= n < 2**63. Everything is pure and
 deterministic; values are plain Python ints, so there is no silent wraparound
-at any size.
+at any size. Only the two brute tables load numpy, and only when called.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DivisorBudgetError, DomainError
 from .primes import is_prime, primes_upto
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Inputs to factorize() must stay below 2**63; directly built factorizations
 # may exceed it (the arithmetic is arbitrary precision either way).
@@ -28,7 +32,8 @@ FACTORIZE_LIMIT = 2**63
 # Default budget for explicit divisor enumeration.
 DIVISOR_CAP = 2**20
 
-_TRIAL_PRIME_LIMIT = 10**6
+# factorize trial-divides by the primes below this; rho splits the rest.
+_TRIAL_PRIME_LIMIT = 1000
 
 
 def isqrt(n: int) -> int:
@@ -51,6 +56,22 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        self._validate(check_primes=True)
+
+    @classmethod
+    def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        """A factorization whose primes the caller has already proven.
+
+        Every check of the constructor runs except the primality tests, so
+        factorize tests each prime once rather than twice.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "value", value)
+        object.__setattr__(f, "factors", factors)
+        f._validate(check_primes=False)
+        return f
+
+    def _validate(self, check_primes: bool) -> None:
         if self.value < 1:
             raise DomainError("factored value must be >= 1")
         prod = 1
@@ -60,7 +81,7 @@ class Factorization:
                 raise DomainError("primes must be strictly increasing")
             if e < 1:
                 raise DomainError("exponents must be >= 1")
-            if not is_prime(p):
+            if check_primes and not is_prime(p):
                 raise DomainError(f"{p} is not prime")
             prod *= p**e
             prev = p
@@ -109,6 +130,7 @@ def _brent_rho(n: int) -> int:
 
 
 def _split(n: int, out: dict):
+    """Add the prime factors of n to out, proving each prime once."""
     if n == 1:
         return
     if is_prime(n):
@@ -122,8 +144,10 @@ def _split(n: int, out: dict):
 def factorize(n: int) -> Factorization:
     """Unique prime factorization of n, for 1 <= n < 2**63.
 
-    Trial division by primes below 10**6, then Brent-variant Pollard rho with
-    a deterministic Miller-Rabin check for the cofactor.
+    Trial division by the primes below 1000, then Brent-variant Pollard rho
+    on the cofactor, with a deterministic Miller-Rabin proof of each prime it
+    finds. Rho splits off a prime p in about sqrt(p) steps, so a factor
+    below 10**6 costs about a thousand steps.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
@@ -131,8 +155,7 @@ def factorize(n: int) -> Factorization:
         raise DomainError("factorize requires n < 2**63")
     val = n
     found: dict[int, int] = {}
-    trial_limit = 1000 if n <= 10**6 else _TRIAL_PRIME_LIMIT
-    for p in primes_upto(trial_limit):
+    for p in primes_upto(_TRIAL_PRIME_LIMIT):
         if p * p > n:
             break
         if n % p == 0:
@@ -142,7 +165,8 @@ def factorize(n: int) -> Factorization:
                 e += 1
             found[p] = e
     _split(n, found)
-    return Factorization(val, tuple(sorted(found.items())))
+    # Trial-division primes come from the sieve and _split proved the rest.
+    return Factorization._proven(val, tuple(sorted(found.items())))
 
 
 def divisors(f: Factorization, cap: int = DIVISOR_CAP) -> list[int]:
@@ -225,6 +249,8 @@ def small_divisor_sums_upto(limit: int) -> np.ndarray:
     Built by marking every small divisor d against each of its multiples
     m >= d*d, i.e. by brute enumeration of all (d, m) divisor pairs.
     """
+    import numpy as np
+
     if limit < 1:
         raise DomainError("table limit must be >= 1")
     table = np.zeros(limit + 1, dtype=np.int64)
@@ -241,6 +267,8 @@ def b_values_upto(limit: int) -> np.ndarray:
     Built on the square-divisor characterization: every d contributes to each
     multiple of d*d.
     """
+    import numpy as np
+
     if limit < 1:
         raise DomainError("table limit must be >= 1")
     table = np.zeros(limit + 1, dtype=np.int64)

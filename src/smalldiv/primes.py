@@ -1,14 +1,14 @@
 """Prime enumeration and primality testing.
 
-Everything here is deterministic: the sieve is a plain Eratosthenes sieve
-and the primality test is a Miller-Rabin variant with a fixed witness set
-that is exact for every n below 3.3e24 (in particular for all 64-bit inputs).
+Everything here is deterministic and pure Python: the sieve is an odd-only
+Eratosthenes sieve over a bytearray, and the primality test is a Miller-Rabin
+variant with a fixed witness set that is exact for every n below 3.3e24 (in
+particular for all 64-bit inputs).
 """
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from itertools import compress
 
 from .errors import DomainError
 
@@ -18,23 +18,39 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array f of length limit+1 with f[i] true iff i is prime."""
+def _odd_sieve(limit: int) -> bytearray:
+    """Flags s with s[i] = 1 iff 2i+1 is prime, for every odd 2i+1 <= limit."""
     if limit < 0:
         raise DomainError("sieve limit must be nonnegative")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    flags.setflags(write=False)
-    return flags
+    size = (limit + 1) // 2
+    sieve = bytearray([1]) * size
+    if size:
+        sieve[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return sieve
+
+
+def prime_flags(limit: int) -> bytes:
+    """Immutable flags f of length limit+1 with f[i] = 1 iff i is prime."""
+    odd = _odd_sieve(limit)
+    flags = bytearray(limit + 1)
+    flags[1::2] = odd
+    if limit >= 2:
+        flags[2] = 1
+    return bytes(flags)
 
 
 @lru_cache(maxsize=8)
 def primes_upto(limit: int) -> tuple[int, ...]:
     """All primes <= limit, ascending."""
-    return tuple(int(p) for p in np.nonzero(prime_flags(limit))[0])
+    odd = _odd_sieve(limit)
+    if limit < 2:
+        return ()
+    return (2,) + tuple(compress(range(1, limit + 1, 2), odd))
 
 
 def first_primes(m: int) -> list[int]:

@@ -12,13 +12,17 @@ a(k)) is kept alongside for cross-checking. Reports compare S(x) against the
 smooth main term (2/3) x**1.5.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import small_divisor_sums_upto
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The brute oracle costs O(x sqrt x) divisor marks; capped to keep any
 # accidental large call from stalling a test run.
@@ -43,6 +47,8 @@ def summatory_brute_prefix(limit: int) -> np.ndarray:
     This is the reference oracle: a(k) values come from the brute divisor-pair
     sieve, then a running prefix sum. Nothing is shared with summatory_exact.
     """
+    import numpy as np
+
     if not 1 <= limit <= BRUTE_CAP:
         raise DomainError(f"brute oracle limited to 1 <= x <= {BRUTE_CAP}")
     prefix = np.cumsum(small_divisor_sums_upto(limit))

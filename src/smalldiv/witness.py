@@ -13,7 +13,7 @@ the inequality can fail when gcd(m, n) > 1.
 import math
 from dataclasses import dataclass
 
-from .core import Factorization, small_divisor_sum, small_divisor_sum_factored
+from .core import Factorization, factorize, small_divisor_sum, small_divisor_sum_factored
 from .errors import DomainError, NotCoprimeError
 from .primes import first_primes, primes_upto
 
@@ -93,14 +93,22 @@ def supermult_check(m: int, n: int) -> SupermultCheck:
     Non-coprime pairs are rejected outright: the inequality's hypothesis is
     gcd(m, n) = 1 and its conclusion can genuinely fail without it, so silent
     acceptance would poison property suites.
+
+    m and n are factorized once each, for 1 <= m, n < 2**63. Coprime factors
+    share no prime, so the factorization of m*n is their union and m*n itself
+    may exceed 2**63. More than 2**20 divisors of m*n raise
+    DivisorBudgetError.
     """
     if m < 1 or n < 1:
         raise DomainError("supermult_check requires m, n >= 1")
     if math.gcd(m, n) != 1:
         raise NotCoprimeError(f"gcd({m}, {n}) = {math.gcd(m, n)} != 1")
-    a_m = small_divisor_sum(m)
-    a_n = small_divisor_sum(n)
-    a_mn = small_divisor_sum(m * n)
+    f_m = factorize(m)
+    f_n = factorize(n)
+    f_mn = Factorization(m * n, tuple(sorted(f_m.factors + f_n.factors)))
+    a_m = small_divisor_sum_factored(f_m)
+    a_n = small_divisor_sum_factored(f_n)
+    a_mn = small_divisor_sum_factored(f_mn)
     return SupermultCheck(m, n, a_mn, a_m * a_n, a_mn >= a_m * a_n)
 
 

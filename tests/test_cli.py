@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +145,15 @@ class TestWitnessCommands:
         assert all(r[0] == "9" for r in rows)
         assert all(r[5] == "true" for r in rows)
 
+    def test_supermult_pair_whose_product_exceeds_2_63(self, capsys):
+        code, out, err = run_cli(capsys, "supermult", "--trials", "1", "--max", str(2**63 - 1), "--seed", "1")
+        assert code == 0
+        assert err == ""
+        header, rows = parse_csv(out)
+        m, n = int(rows[0][1]), int(rows[0][2])
+        assert m * n >= 2**63
+        assert rows[0][5] == "true"
+
     def test_counterexample(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample")
         assert code == 0
@@ -233,3 +245,44 @@ class TestErrorHandling:
         assert code == 4
         assert out == ""
         assert "overflow" in err
+
+
+NUMPY_FREE_COMMANDS = [
+    ["a", "24"],
+    ["b", "72"],
+    ["sigma", "360"],
+    ["tau", "360"],
+    ["factor", "901800900"],
+    ["counterexample"],
+    ["witness", "--m", "3"],
+    ["bound", "--sigma", "1.75"],
+    ["supermult", "--trials", "5", "--max", "1000", "--seed", "9"],
+    ["summatory", "--x", "100000"],
+    ["residual", "--points", "10,1000"],
+    ["euler", "--sigma", "3", "--primes", "1000"],
+]
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from smalldiv import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["dirichlet", "--series", "a", "--sigma", "2.5", "--terms", "1000"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_tables_load_numpy():
+    """The scalar commands run in a fresh interpreter without importing numpy; dirichlet loads it."""
+    import smalldiv
+
+    src = os.path.dirname(os.path.dirname(smalldiv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(NUMPY_FREE_COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import reference
+from smalldiv import core, primes
 from smalldiv.core import (
     Factorization,
     b_multiplicative,
@@ -19,7 +20,7 @@ from smalldiv.core import (
     tau,
 )
 from smalldiv.errors import DivisorBudgetError, DomainError
-from smalldiv.primes import first_primes
+from smalldiv.primes import first_primes, is_prime
 
 
 class TestIsqrt:
@@ -63,7 +64,7 @@ class TestFactorize:
         factorize(2**63 - 1)  # boundary value is in domain
 
     def test_matches_trial_division(self):
-        for n in range(1, 2000):
+        for n in range(1, 20000):
             assert factorize(n).factors == tuple(reference.factorize(n)), n
 
     def test_random_roundtrip(self):
@@ -84,6 +85,77 @@ class TestFactorize:
             (10**9 + 9, 1),
         )
         assert factorize((2**31 - 1) ** 2).factors == ((2**31 - 1, 2),)
+
+
+def _assert_factors(n, expected):
+    """factorize(n) gives expected; checked against trial division up to 10**12."""
+    f = factorize(n)
+    assert f.factors == expected, n
+    if n <= 10**12:
+        assert f.factors == tuple(reference.factorize(n)), n
+    prod = 1
+    for p, e in f.factors:
+        assert is_prime(p)
+        prod *= p**e
+    assert prod == n
+
+
+class TestFactorizeBeyondTrialDivision:
+    """Shapes whose prime factors lie above the trial-division primes, so rho splits them."""
+
+    @pytest.mark.parametrize("p", [1009, 1013, 999983, 1000003])
+    def test_prime_squares_and_cubes(self, p):
+        _assert_factors(p**2, ((p, 2),))
+        _assert_factors(p**3, ((p, 3),))
+
+    @pytest.mark.parametrize("p", [1009, 1013, 1499, 1997, 1999])
+    def test_prime_fourth_powers(self, p):
+        _assert_factors(p**4, ((p, 4),))
+
+    @pytest.mark.parametrize("p,q", [(1009, 1013), (1009, 999983), (100003, 500009), (999961, 999983)])
+    def test_two_mid_primes(self, p, q):
+        _assert_factors(p * q, ((p, 1), (q, 1)))
+        _assert_factors(2**5 * 997 * p * q, ((2, 5), (997, 1), (p, 1), (q, 1)))
+
+    def test_three_primes_between_1e5_and_1e6(self):
+        _assert_factors(100003 * 500009 * 999983, ((100003, 1), (500009, 1), (999983, 1)))
+        _assert_factors(100019**2 * 100043, ((100019, 2), (100043, 1)))
+
+    def test_prime_near_1e6_times_prime_near_1e12(self):
+        _assert_factors(1000003 * 1000000000039, ((1000003, 1), (1000000000039, 1)))
+        _assert_factors(999983 * 1000000000061, ((999983, 1), (1000000000061, 1)))
+
+    def test_62_bit_prime(self):
+        _assert_factors(2**62 - 57, ((2**62 - 57, 1),))
+
+    def test_no_sieve_beyond_trial_primes(self, monkeypatch):
+        limits = []
+
+        def recording(limit):
+            limits.append(limit)
+            return primes.primes_upto(limit)
+
+        monkeypatch.setattr(core, "primes_upto", recording)
+        assert factorize(10**12 + 39).factors == ((10**12 + 39, 1),)
+        assert limits and max(limits) <= 1000
+
+    def test_each_prime_tested_once(self, monkeypatch):
+        tested = []
+
+        def counting(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(core, "is_prime", counting)
+        p, q = 10**9 + 7, 10**9 + 9
+        f = factorize(p * q)
+        assert f.factors == ((p, 1), (q, 1))
+        assert tested.count(p) == 1
+        assert tested.count(q) == 1
+        # A factorization built by hand still proves every prime it lists.
+        Factorization(p * q, f.factors)
+        assert tested.count(p) == 2
+        assert tested.count(q) == 2
 
 
 class TestFactorizationInvariants:

@@ -16,6 +16,29 @@ def test_prime_flags_agrees_with_list():
     assert [i for i in range(501) if flags[i]] == list(primes_upto(500))
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10**5])
+def test_primes_upto_at_small_and_large_limits(limit):
+    # reference.prime_flags needs room for the flags of 0 and 1.
+    flags = reference.prime_flags(max(limit, 1))[: limit + 1]
+    assert primes_upto(limit) == tuple(i for i, f in enumerate(flags) if f)
+
+
+def test_prime_flags_is_immutable_bytes():
+    flags = prime_flags(100)
+    assert type(flags) is bytes
+    assert len(flags) == 101
+    assert [bool(f) for f in flags] == reference.prime_flags(100)
+    with pytest.raises(TypeError):
+        flags[4] = 1
+
+
+def test_negative_sieve_limit_rejected():
+    with pytest.raises(DomainError):
+        prime_flags(-1)
+    with pytest.raises(DomainError):
+        primes_upto(-1)
+
+
 def test_first_primes():
     assert first_primes(1) == [2]
     assert first_primes(2) == [2, 3]

@@ -123,6 +123,16 @@ class TestSupermult:
                 assert chk.rhs == reference.small_divisor_sum(m) * reference.small_divisor_sum(n)
                 assert chk.holds
 
+    def test_pair_near_2_62_with_product_beyond_2_63(self):
+        p = 2**62 - 57  # prime
+        n = 3**39  # just below 2**62
+        chk = supermult_check(p, n)
+        # The divisors of p * 3**39 are 3**k and p * 3**k for k <= 39.
+        divs = [3**k for k in range(40)] + [p * 3**k for k in range(40)]
+        assert chk.lhs == sum(d for d in divs if d * d <= p * n)
+        assert chk.rhs == 1 * sum(3**k for k in range(20))  # a(p) * a(3**39)
+        assert chk.holds
+
 
 class TestCounterexample:
     def test_values(self):
