@@ -247,6 +247,168 @@ class TestErrorHandling:
         assert "overflow" in err
 
 
+# Exact stdout and exit code of every subcommand, as (argv, code, csv, json);
+# the JSON run appends "--format json" to argv.
+GOLDEN = [
+    ("a 24", 0, "n,a\n24,10\n", '{"command":"a","params":{"n":24},"rows":[{"n":24,"a":10}]}\n'),
+    ("b 72", 0, "n,b\n72,12\n", '{"command":"b","params":{"n":72},"rows":[{"n":72,"b":12}]}\n'),
+    (
+        "sigma 36", 0,
+        "n,sigma\n36,91\n",
+        '{"command":"sigma","params":{"n":36},"rows":[{"n":36,"sigma":91}]}\n',
+    ),
+    ("tau 72", 0, "n,tau\n72,12\n", '{"command":"tau","params":{"n":72},"rows":[{"n":72,"tau":12}]}\n'),
+    (
+        "factor 72", 0,
+        "n,prime,exponent\n72,2,3\n72,3,2\n",
+        (
+            '{"command":"factor","params":{"n":72},"rows":[{"n":72,"prime":2,"exponent":3},{"n":72,'
+            '"prime":3,"exponent":2}]}\n'
+        ),
+    ),
+    ("factor 1", 0, "n,prime,exponent\n", '{"command":"factor","params":{"n":1},"rows":[]}\n'),
+    (
+        "summatory --x 100", 0,
+        "x,exact\n100,658\n",
+        '{"command":"summatory","params":{"x":100,"method":"exact"},"rows":[{"x":100,"exact":658}]}\n',
+    ),
+    (
+        "summatory --x 100 --method exact", 0,
+        "x,exact\n100,658\n",
+        '{"command":"summatory","params":{"x":100,"method":"exact"},"rows":[{"x":100,"exact":658}]}\n',
+    ),
+    (
+        "summatory --x 100 --method brute", 0,
+        "x,brute\n100,658\n",
+        '{"command":"summatory","params":{"x":100,"method":"brute"},"rows":[{"x":100,"brute":658}]}\n',
+    ),
+    (
+        "summatory --x 100 --method both", 0,
+        "x,exact,brute,match\n100,658,658,true\n",
+        (
+            '{"command":"summatory","params":{"x":100,"method":"both"},"rows":[{"x":100,"exact":658,'
+            '"brute":658,"match":true}]}\n'
+        ),
+    ),
+    (
+        "residual --points 10,1000,100000", 0,
+        (
+            "x,s_exact,main_term,residual,normalized_residual\n"
+            "10,21,21.0818510677892,-0.081851067789195,-0.00355474670787364\n"
+            "1000,20867,21081.8510677892,-214.851067789194,-0.0311028777239561\n"
+            "100000,21057320,21081851.0677892,-24531.0677891932,-0.0213074147520825\n"
+        ),
+        (
+            '{"command":"residual","params":{"points":[10,1000,100000]},"rows":[{"x":10,"s_exact":21,'
+            '"main_term":21.0818510677892,"residual":-0.081851067789195,'
+            '"normalized_residual":-0.00355474670787364},{"x":1000,"s_exact":20867,'
+            '"main_term":21081.8510677892,"residual":-214.851067789194,'
+            '"normalized_residual":-0.0311028777239561},{"x":100000,"s_exact":21057320,'
+            '"main_term":21081851.0677892,"residual":-24531.0677891932,'
+            '"normalized_residual":-0.0213074147520825}]}\n'
+        ),
+    ),
+    (
+        "dirichlet --series a --sigma 2.5 --terms 100", 0,
+        (
+            "series,sigma,terms,value,tail_lo,tail_hi,series_lo,series_hi\n"
+            "a,2.5,100,1.5149814367028,0,0.2,1.5149814367028,1.7149814367028\n"
+        ),
+        (
+            '{"command":"dirichlet","params":{"series":"a","sigma":2.5,"terms":100},'
+            '"rows":[{"series":"a","sigma":2.5,"terms":100,"value":1.5149814367028,"tail_lo":0,'
+            '"tail_hi":0.2,"series_lo":1.5149814367028,"series_hi":1.7149814367028}]}\n'
+        ),
+    ),
+    (
+        "dirichlet --series b --sigma 1.5 --terms 100", 0,
+        "series,sigma,terms,value\nb,1.5,100,3.47602109808557\n",
+        (
+            '{"command":"dirichlet","params":{"series":"b","sigma":1.5,"terms":100},'
+            '"rows":[{"series":"b","sigma":1.5,"terms":100,"value":3.47602109808557}]}\n'
+        ),
+    ),
+    (
+        "divergence --terms 1000", 0,
+        "terms,partial_sum,lower_bound,ok\n1000,7.03855143977068,1.64322371159929,true\n",
+        (
+            '{"command":"divergence","params":{"terms":1000},"rows":[{"terms":1000,'
+            '"partial_sum":7.03855143977068,"lower_bound":1.64322371159929,"ok":true}]}\n'
+        ),
+    ),
+    (
+        "bound --sigma 1.75", 0,
+        "sigma,upper_bound\n1.75,14.449501394742\n",
+        (
+            '{"command":"bound","params":{"sigma":1.75},"rows":[{"sigma":1.75,'
+            '"upper_bound":14.449501394742}]}\n'
+        ),
+    ),
+    (
+        "euler --sigma 3 --primes 100", 0,
+        "sigma,primes,product\n3,100,1.2464335241542\n",
+        (
+            '{"command":"euler","params":{"sigma":3,"primes":100},"rows":[{"sigma":3,"primes":100,'
+            '"product":1.2464335241542}]}\n'
+        ),
+    ),
+    (
+        "sandwich --sigma 2.5 --terms 1000", 0,
+        (
+            "sigma,terms,lower_ok,upper_ok,product_lo,product_hi,l_lo,l_hi,upper_lo,upper_hi\n"
+            "2.5,1000,true,true,1.45192282625008,1.45192282625012,1.52366619391179,1.58691174711694,"
+            "2.61237534868547,2.6123753486855\n"
+        ),
+        (
+            '{"command":"sandwich","params":{"sigma":2.5,"terms":1000},"rows":[{"sigma":2.5,"terms":1000,'
+            '"lower_ok":true,"upper_ok":true,"product_lo":1.45192282625008,"product_hi":1.45192282625012,'
+            '"l_lo":1.52366619391179,"l_hi":1.58691174711694,"upper_lo":2.61237534868547,'
+            '"upper_hi":2.6123753486855}]}\n'
+        ),
+    ),
+    (
+        "witness --m 3", 0,
+        "m,s_m,a_value,ratio,lower_bound\n3,900,160,5.33333333333333,2.4\n",
+        (
+            '{"command":"witness","params":{"m":3},"rows":[{"m":3,"s_m":900,"a_value":160,'
+            '"ratio":5.33333333333333,"lower_bound":2.4}]}\n'
+        ),
+    ),
+    (
+        "supermult --trials 3 --max 1000 --seed 9", 0,
+        (
+            "seed,m,n,a_mn,a_m_times_a_n,holds\n"
+            "9,917,767,1482,112,true\n"
+            "9,865,866,1835,18,true\n"
+            "9,435,944,6003,744,true\n"
+        ),
+        (
+            '{"command":"supermult","params":{"trials":3,"max":1000,"seed":9},"rows":[{"seed":9,"m":917,'
+            '"n":767,"a_mn":1482,"a_m_times_a_n":112,"holds":true},{"seed":9,"m":865,"n":866,"a_mn":1835,'
+            '"a_m_times_a_n":18,"holds":true},{"seed":9,"m":435,"n":944,"a_mn":6003,"a_m_times_a_n":744,'
+            '"holds":true}]}\n'
+        ),
+    ),
+    (
+        "counterexample", 0,
+        "m,n,product,a_product,a_m_times_a_n,gcd\n24,36,864,130,160,12\n",
+        (
+            '{"command":"counterexample","params":{},"rows":[{"m":24,"n":36,"product":864,'
+            '"a_product":130,"a_m_times_a_n":160,"gcd":12}]}\n'
+        ),
+    ),
+    ("a 0", 3, "", ""),
+    ("euler --sigma inf --primes 10", 3, "", ""),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,code,csv_out,json_out", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_transcript(capsys, fmt, argv, code, csv_out, json_out):
+    extra = ["--format", "json"] if fmt == "json" else []
+    got_code, out, _ = run_cli(capsys, *argv.split(), *extra)
+    assert (got_code, out) == (code, json_out if fmt == "json" else csv_out)
+
 NUMPY_FREE_COMMANDS = [
     ["a", "24"],
     ["b", "72"],
