@@ -38,6 +38,7 @@ from .dirichlet import (
     zeta_bracket,
 )
 from .errors import DivisorBudgetError, DomainError, NotCoprimeError, SmallDivError
+from .primes import TABLE_LIMIT
 from .summatory import (
     BRUTE_CAP,
     SUMMATORY_LIMIT,

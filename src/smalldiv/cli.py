@@ -58,128 +58,108 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[tuple
             writer.writerow([_fmt(v) for v in row])
 
 
-def _cmd_a(args):
-    value = core.small_divisor_sum(args.n)
-    return {"n": args.n}, ["n", "a"], [(args.n, value)]
+def _rows(columns: list[str], reports) -> tuple[list[str], list[tuple]]:
+    """One row per report, each cell the report attribute its column names."""
+    return columns, [tuple(getattr(r, c) for c in columns) for r in reports]
 
 
-def _cmd_b(args):
-    value = core.b_via_square_divisors(args.n)
-    return {"n": args.n}, ["n", "b"], [(args.n, value)]
-
-
-def _cmd_sigma(args):
-    value = core.sigma(core.factorize(args.n))
-    return {"n": args.n}, ["n", "sigma"], [(args.n, value)]
-
-
-def _cmd_tau(args):
-    value = core.tau(core.factorize(args.n))
-    return {"n": args.n}, ["n", "tau"], [(args.n, value)]
-
-
-def _cmd_factor(args):
-    f = core.factorize(args.n)
-    rows = [(args.n, p, e) for p, e in f.factors]
-    return {"n": args.n}, ["n", "prime", "exponent"], rows
-
-
-def _cmd_summatory(args):
-    params = {"x": args.x, "method": args.method}
-    if args.method == "exact":
-        return params, ["x", "exact"], [(args.x, summatory.summatory_exact(args.x))]
-    if args.method == "brute":
-        return params, ["x", "brute"], [(args.x, summatory.summatory_brute(args.x))]
+def _summatory(args):
+    if args.method != "both":
+        compute = summatory.summatory_exact if args.method == "exact" else summatory.summatory_brute
+        return ["x", args.method], [(args.x, compute(args.x))]
     exact = summatory.summatory_exact(args.x)
     brute = summatory.summatory_brute(args.x)
-    return params, ["x", "exact", "brute", "match"], [(args.x, exact, brute, exact == brute)]
+    return ["x", "exact", "brute", "match"], [(args.x, exact, brute, exact == brute)]
 
 
-def _cmd_residual(args):
-    points = _parse_points(args.points)
-    rows = []
-    for x in points:
-        r = summatory.residual_report(x)
-        rows.append((r.x, r.s_exact, r.main_term, r.residual, r.normalized_residual))
+def _residual(args):
+    # Parsed here rather than by argparse, so a malformed list is a domain
+    # error (exit 3); the parsed list is what params reports.
+    try:
+        args.points = [int(part) for part in args.points.split(",") if part]
+    except ValueError as exc:
+        raise DomainError(f"malformed points list {args.points!r}") from exc
     columns = ["x", "s_exact", "main_term", "residual", "normalized_residual"]
-    return {"points": points}, columns, rows
+    return _rows(columns, [summatory.residual_report(x) for x in args.points])
 
 
-def _cmd_dirichlet(args):
-    series = dirichlet.Series(args.series)
-    ps = dirichlet.partial_dirichlet(series, args.sigma, args.terms)
-    params = {"series": args.series, "sigma": args.sigma, "terms": args.terms}
+def _dirichlet(args):
+    ps = dirichlet.partial_dirichlet(dirichlet.Series(args.series), args.sigma, args.terms)
+    row = (args.series, args.sigma, args.terms, ps.value)
     if ps.tail is None:
-        columns = ["series", "sigma", "terms", "value"]
-        rows = [(args.series, args.sigma, args.terms, ps.value)]
-    else:
-        full = ps.full_series_bracket()
-        columns = ["series", "sigma", "terms", "value", "tail_lo", "tail_hi", "series_lo", "series_hi"]
-        rows = [(args.series, args.sigma, args.terms, ps.value, ps.tail.lo, ps.tail.hi, full.lo, full.hi)]
-    return params, columns, rows
+        return ["series", "sigma", "terms", "value"], [row]
+    full = ps.full_series_bracket()
+    columns = ["series", "sigma", "terms", "value", "tail_lo", "tail_hi", "series_lo", "series_hi"]
+    return columns, [row + (ps.tail.lo, ps.tail.hi, full.lo, full.hi)]
 
 
-def _cmd_divergence(args):
+def _divergence(args):
     ps = dirichlet.partial_dirichlet(dirichlet.Series.A, 1.5, args.terms)
     bound = dirichlet.divergence_lower_bound(args.terms)
-    columns = ["terms", "partial_sum", "lower_bound", "ok"]
-    return {"terms": args.terms}, columns, [(args.terms, ps.value, bound, ps.value >= bound)]
+    return ["terms", "partial_sum", "lower_bound", "ok"], [(args.terms, ps.value, bound, ps.value >= bound)]
 
 
-def _cmd_bound(args):
-    value = dirichlet.convergence_upper_bound(args.sigma)
-    return {"sigma": args.sigma}, ["sigma", "upper_bound"], [(args.sigma, value)]
+def _sandwich(args):
+    r = dirichlet.sandwich_check(args.sigma, args.terms)
+    columns = ["sigma", "terms", "lower_ok", "upper_ok", "product_lo", "product_hi",
+               "l_lo", "l_hi", "upper_lo", "upper_hi"]
+    row = (r.sigma, r.n_terms, r.lower_ok, r.upper_ok, r.zeta_product.lo, r.zeta_product.hi,
+           r.l_bracket.lo, r.l_bracket.hi, r.zeta_upper.lo, r.zeta_upper.hi)
+    return columns, [row]
 
 
-def _cmd_euler(args):
-    value = dirichlet.euler_product_b(args.sigma, args.primes)
-    columns = ["sigma", "primes", "product"]
-    return {"sigma": args.sigma, "primes": args.primes}, columns, [(args.sigma, args.primes, value)]
-
-
-def _cmd_sandwich(args):
-    rep = dirichlet.sandwich_check(args.sigma, args.terms)
-    columns = [
-        "sigma", "terms", "lower_ok", "upper_ok",
-        "product_lo", "product_hi", "l_lo", "l_hi", "upper_lo", "upper_hi",
-    ]
-    row = (
-        rep.sigma, rep.n_terms, rep.lower_ok, rep.upper_ok,
-        rep.zeta_product.lo, rep.zeta_product.hi,
-        rep.l_bracket.lo, rep.l_bracket.hi,
-        rep.zeta_upper.lo, rep.zeta_upper.hi,
-    )
-    return {"sigma": args.sigma, "terms": args.terms}, columns, [row]
-
-
-def _cmd_witness(args):
-    rep = witness.witness_report(args.m)
-    columns = ["m", "s_m", "a_value", "ratio", "lower_bound"]
-    return {"m": args.m}, columns, [(rep.m, rep.s_m, rep.a_value, rep.ratio, rep.lower_bound)]
-
-
-def _cmd_supermult(args):
+def _supermult(args):
     pairs = witness.random_coprime_pairs(args.trials, args.max, args.seed)
-    rows = []
-    for m, n in pairs:
-        chk = witness.supermult_check(m, n)
-        rows.append((args.seed, chk.m, chk.n, chk.lhs, chk.rhs, chk.holds))
+    checks = [witness.supermult_check(m, n) for m, n in pairs]
     columns = ["seed", "m", "n", "a_mn", "a_m_times_a_n", "holds"]
-    params = {"trials": args.trials, "max": args.max, "seed": args.seed}
-    return params, columns, rows
+    return columns, [(args.seed, c.m, c.n, c.lhs, c.rhs, c.holds) for c in checks]
 
 
-def _cmd_counterexample(args):
-    c = witness.non_complete_counterexample()
-    columns = ["m", "n", "product", "a_product", "a_m_times_a_n", "gcd"]
-    return {}, columns, [(c.m, c.n, c.product, c.a_product, c.a_m_times_a_n, c.gcd)]
+_INT = dict(type=int, required=True)
+_N = [("n", dict(type=int))]
+_SIGMA = ("--sigma", dict(type=float, required=True))
+_TERMS = ("--terms", _INT)
 
-
-def _parse_points(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise DomainError(f"malformed points list {text!r}") from exc
+# Every subcommand: its help text, its arguments as (flag, argparse keywords),
+# and a compute function from the parsed arguments to (columns, rows). The
+# JSON params are the declared arguments in order. Compute functions look up
+# the library functions when called, so a patched module attribute is seen.
+COMMANDS = {
+    "a": ("small-divisor sum a(n)", _N,
+          lambda args: (["n", "a"], [(args.n, core.small_divisor_sum(args.n))])),
+    "b": ("multiplicative companion b(n)", _N,
+          lambda args: (["n", "b"], [(args.n, core.b_via_square_divisors(args.n))])),
+    "sigma": ("divisor sum sigma(n)", _N,
+              lambda args: (["n", "sigma"], [(args.n, core.sigma(core.factorize(args.n)))])),
+    "tau": ("divisor count tau(n)", _N,
+            lambda args: (["n", "tau"], [(args.n, core.factorize(args.n).tau())])),
+    "factor": ("prime factorization of n", _N,
+               lambda args: (["n", "prime", "exponent"],
+                             [(args.n, p, e) for p, e in core.factorize(args.n).factors])),
+    "summatory": ("S(x) = sum of a(k) for k <= x",
+                  [("--x", _INT), ("--method", dict(choices=("exact", "brute", "both"), default="exact"))],
+                  _summatory),
+    "residual": ("S(x) against its (2/3) x^1.5 main term",
+                 [("--points", dict(required=True, help="comma-separated x values"))], _residual),
+    "dirichlet": ("partial Dirichlet sum of a or b",
+                  [("--series", dict(choices=("a", "b"), required=True)), _SIGMA, _TERMS], _dirichlet),
+    "divergence": ("a-series partial sum at sigma=1.5 vs its lower bound", [_TERMS], _divergence),
+    "bound": ("a-series upper bound for 1.5 < sigma < 2", [_SIGMA],
+              lambda args: (["sigma", "upper_bound"],
+                            [(args.sigma, dirichlet.convergence_upper_bound(args.sigma))])),
+    "euler": ("truncated Euler product of the b-series", [_SIGMA, ("--primes", _INT)],
+              lambda args: (["sigma", "primes", "product"],
+                            [(args.sigma, args.primes, dirichlet.euler_product_b(args.sigma, args.primes))])),
+    "sandwich": ("two-sided zeta comparison for the a-series", [_SIGMA, _TERMS], _sandwich),
+    "witness": ("squared-primorial witness report", [("--m", _INT)],
+                lambda args: _rows(["m", "s_m", "a_value", "ratio", "lower_bound"],
+                                   [witness.witness_report(args.m)])),
+    "supermult": ("seeded random coprime supermultiplicativity checks",
+                  [("--trials", _INT), ("--max", _INT), ("--seed", _INT)], _supermult),
+    "counterexample": ("the fixed 24 * 36 counterexample", [],
+                       lambda args: _rows(["m", "n", "product", "a_product", "a_m_times_a_n", "gcd"],
+                                          [witness.non_complete_counterexample()])),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,59 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Small-divisor sums, their summatory function, and Dirichlet-series checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, (help_text, arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("a", _cmd_a, "small-divisor sum a(n)")
-    p.add_argument("n", type=int)
-    p = add("b", _cmd_b, "multiplicative companion b(n)")
-    p.add_argument("n", type=int)
-    p = add("sigma", _cmd_sigma, "divisor sum sigma(n)")
-    p.add_argument("n", type=int)
-    p = add("tau", _cmd_tau, "divisor count tau(n)")
-    p.add_argument("n", type=int)
-    p = add("factor", _cmd_factor, "prime factorization of n")
-    p.add_argument("n", type=int)
-
-    p = add("summatory", _cmd_summatory, "S(x) = sum of a(k) for k <= x")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--method", choices=("exact", "brute", "both"), default="exact")
-
-    p = add("residual", _cmd_residual, "S(x) against its (2/3) x^1.5 main term")
-    p.add_argument("--points", required=True, help="comma-separated x values")
-
-    p = add("dirichlet", _cmd_dirichlet, "partial Dirichlet sum of a or b")
-    p.add_argument("--series", choices=("a", "b"), required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--terms", type=int, required=True)
-
-    p = add("divergence", _cmd_divergence, "a-series partial sum at sigma=1.5 vs its lower bound")
-    p.add_argument("--terms", type=int, required=True)
-
-    p = add("bound", _cmd_bound, "a-series upper bound for 1.5 < sigma < 2")
-    p.add_argument("--sigma", type=float, required=True)
-
-    p = add("euler", _cmd_euler, "truncated Euler product of the b-series")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--primes", type=int, required=True)
-
-    p = add("sandwich", _cmd_sandwich, "two-sided zeta comparison for the a-series")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--terms", type=int, required=True)
-
-    p = add("witness", _cmd_witness, "squared-primorial witness report")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("supermult", _cmd_supermult, "seeded random coprime supermultiplicativity checks")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    add("counterexample", _cmd_counterexample, "the fixed 24 * 36 counterexample")
-
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -255,14 +186,16 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    _, arguments, compute = COMMANDS[args.command]
     try:
-        params, columns, rows = args.handler(args)
+        columns, rows = compute(args)
     except DivisorBudgetError as exc:
         print(f"smalldiv: overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     except DomainError as exc:
         print(f"smalldiv: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    params = {key: getattr(args, key) for key in (flag.lstrip("-") for flag, _ in arguments)}
     _emit(args, args.command, params, columns, rows)
     return EXIT_OK
 

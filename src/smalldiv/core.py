@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DivisorBudgetError, DomainError
-from .primes import is_prime, primes_upto
+from .primes import TABLE_LIMIT, is_prime, primes_upto
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,6 +89,7 @@ class Factorization:
             raise DomainError("factor product does not equal value")
 
     def tau(self) -> int:
+        """tau(n): number of positive divisors, as the product of (e+1)."""
         t = 1
         for _, e in self.factors:
             t *= e + 1
@@ -214,9 +215,7 @@ def sigma(f: Factorization) -> int:
     return total
 
 
-def tau(f: Factorization) -> int:
-    """tau(n): number of positive divisors, as the product of (e+1)."""
-    return f.tau()
+tau = Factorization.tau
 
 
 def b_multiplicative(f: Factorization) -> int:
@@ -244,15 +243,15 @@ def b_via_square_divisors(n: int) -> int:
 
 @lru_cache(maxsize=4)
 def small_divisor_sums_upto(limit: int) -> np.ndarray:
-    """Read-only int64 array t with t[k] = a(k) for 1 <= k <= limit (t[0] = 0).
+    """Read-only int64 array t with t[k] = a(k) for 1 <= k <= limit <= TABLE_LIMIT (t[0] = 0).
 
     Built by marking every small divisor d against each of its multiples
     m >= d*d, i.e. by brute enumeration of all (d, m) divisor pairs.
     """
+    if not 1 <= limit <= TABLE_LIMIT:
+        raise DomainError(f"table limit must satisfy 1 <= limit <= {TABLE_LIMIT}")
     import numpy as np
 
-    if limit < 1:
-        raise DomainError("table limit must be >= 1")
     table = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
         table[d * d :: d] += d
@@ -262,15 +261,15 @@ def small_divisor_sums_upto(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def b_values_upto(limit: int) -> np.ndarray:
-    """Read-only int64 array t with t[k] = b(k) for 1 <= k <= limit (t[0] = 0).
+    """Read-only int64 array t with t[k] = b(k) for 1 <= k <= limit <= TABLE_LIMIT (t[0] = 0).
 
     Built on the square-divisor characterization: every d contributes to each
     multiple of d*d.
     """
+    if not 1 <= limit <= TABLE_LIMIT:
+        raise DomainError(f"table limit must satisfy 1 <= limit <= {TABLE_LIMIT}")
     import numpy as np
 
-    if limit < 1:
-        raise DomainError("table limit must be >= 1")
     table = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
         table[d * d :: d * d] += d

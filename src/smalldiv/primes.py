@@ -17,11 +17,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Largest limit for the prime sieve and the a/b tables: 10**7 int64 entries
+# take 80 MB, and larger limits are rejected before anything is allocated.
+TABLE_LIMIT = 10**7
+
 
 def _odd_sieve(limit: int) -> bytearray:
-    """Flags s with s[i] = 1 iff 2i+1 is prime, for every odd 2i+1 <= limit."""
-    if limit < 0:
-        raise DomainError("sieve limit must be nonnegative")
+    """Flags s with s[i] = 1 iff 2i+1 is prime, for every odd 2i+1 <= limit <= TABLE_LIMIT."""
+    if not 0 <= limit <= TABLE_LIMIT:
+        raise DomainError(f"sieve limit must satisfy 0 <= limit <= {TABLE_LIMIT}")
     size = (limit + 1) // 2
     sieve = bytearray([1]) * size
     if size:

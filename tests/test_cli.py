@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalldiv import cli
 from smalldiv.errors import DivisorBudgetError
@@ -218,6 +221,15 @@ class TestErrorHandling:
             ("euler", "--sigma", "inf", "--primes", "10"),
             ("summatory", "--x", "1000000000000000000"),
             ("residual", "--points", "1000000000000000000"),
+            ("supermult", "--trials", "100000000", "--max", "1000", "--seed", "1"),
+            ("dirichlet", "--series", "a", "--sigma", "2.5", "--terms", "10000000000"),
+            ("dirichlet", "--series", "a", "--sigma", "2.5", "--terms", str(10**20)),
+            ("divergence", "--terms", "10000000000"),
+            ("divergence", "--terms", str(10**20)),
+            ("sandwich", "--sigma", "2.5", "--terms", "10000000000"),
+            ("sandwich", "--sigma", "2.5", "--terms", str(10**20)),
+            ("euler", "--sigma", "3", "--primes", "10000000000"),
+            ("euler", "--sigma", "3", "--primes", str(10**20)),
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 3, argv
@@ -408,6 +420,53 @@ def test_golden_transcript(capsys, fmt, argv, code, csv_out, json_out):
     extra = ["--format", "json"] if fmt == "json" else []
     got_code, out, _ = run_cli(capsys, *argv.split(), *extra)
     assert (got_code, out) == (code, json_out if fmt == "json" else csv_out)
+
+_JUNK = st.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", "inf", "-inf", "-", "--", " 7"])
+_HUGE = st.sampled_from(["10000000000", str(10**20), str(2**63)])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# Values drawn for each declared argument, by its name. Sizes that would run
+# for seconds (large x, trials, m or tables) are left out; sizes that must be
+# rejected before any work is done are drawn on purpose.
+FUZZ_VALUES = {
+    "n": st.one_of(_ints(-5, 2**63 - 1), _HUGE, _JUNK),
+    "x": st.one_of(_ints(-5, 10**4), st.just(str(10**18)), _JUNK),
+    "method": st.sampled_from(["exact", "brute", "both", "all"]),
+    "points": st.lists(st.one_of(_ints(-5, 10**4), _JUNK), max_size=4).map(",".join),
+    "series": st.sampled_from(["a", "b", "c"]),
+    "sigma": st.one_of(st.floats().map(repr), st.sampled_from(["1.5", "1.75", "2", "2.5", "3"]), _JUNK),
+    "terms": st.one_of(_ints(-5, 2000), _HUGE, _JUNK),
+    "primes": st.one_of(_ints(-5, 2000), _HUGE, _JUNK),
+    "m": st.one_of(_ints(-3, 9), _JUNK),
+    "trials": st.one_of(_ints(-3, 20), st.just("100000000"), _JUNK),
+    "max": st.one_of(_ints(-3, 10**6), _HUGE, _JUNK),
+    "seed": st.one_of(_ints(-(10**20), 10**20), _JUNK),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_every_command_exits_cleanly(data):
+    """Any drawn argv ends in a documented exit code, never a traceback or a partial table."""
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    argv = [command]
+    for flag, _ in cli.COMMANDS[command][1]:
+        value = data.draw(FUZZ_VALUES[flag.lstrip("-")], label=flag)
+        argv += [value] if flag == "n" else [flag, value]
+    argv += data.draw(st.sampled_from([[], ["--format", "json"]]), label="format")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code != 0:
+        assert out.getvalue() == "", argv
+    if code in (3, 4):
+        assert len(err.getvalue().splitlines()) == 1, argv
+
 
 NUMPY_FREE_COMMANDS = [
     ["a", "24"],

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference
-from smalldiv import core, primes
+from smalldiv import TABLE_LIMIT, core, primes
 from smalldiv.core import (
     Factorization,
     b_multiplicative,
@@ -357,3 +357,9 @@ class TestTables:
     def test_rejects_bad_limit(self):
         with pytest.raises(DomainError):
             small_divisor_sums_upto(0)
+
+    @pytest.mark.parametrize("table", [small_divisor_sums_upto, b_values_upto])
+    def test_rejects_limit_above_table_limit(self, table):
+        for limit in (TABLE_LIMIT + 1, 10**10, 10**20):
+            with pytest.raises(DomainError):
+                table(limit)

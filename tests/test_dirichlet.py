@@ -15,6 +15,7 @@ from smalldiv.dirichlet import (
     tail_bound_inverse_squares,
     zeta_bracket,
 )
+from smalldiv import TABLE_LIMIT
 from smalldiv.errors import DomainError
 
 ZETA_32 = float(scipy_zeta(1.5))  # ~2.6123753486854883
@@ -210,6 +211,11 @@ class TestEulerProduct:
         for sigma in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 euler_product_b(sigma, 10)
+
+    def test_rejects_prime_bound_above_table_limit(self):
+        for bound in (TABLE_LIMIT + 1, 10**10, 10**20):
+            with pytest.raises(DomainError):
+                euler_product_b(3.0, bound)
 
 
 class TestSandwich:

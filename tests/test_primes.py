@@ -1,6 +1,7 @@
 import pytest
 
 import reference
+from smalldiv import TABLE_LIMIT
 from smalldiv.errors import DomainError
 from smalldiv.primes import first_primes, is_prime, prime_flags, primes_upto
 
@@ -72,3 +73,10 @@ def test_is_prime_small_range():
 )
 def test_is_prime_known_values(n, expected):
     assert is_prime(n) == expected
+
+
+@pytest.mark.parametrize("sieve", [primes_upto, prime_flags])
+def test_sieve_rejects_limit_above_table_limit(sieve):
+    for limit in (TABLE_LIMIT + 1, 10**10, 10**20):
+        with pytest.raises(DomainError):
+            sieve(limit)

@@ -6,6 +6,7 @@ import reference
 from smalldiv.core import isqrt
 from smalldiv.errors import DomainError, NotCoprimeError
 from smalldiv.witness import (
+    PAIR_COUNT_LIMIT,
     liminf_witness,
     non_complete_counterexample,
     primes_first,
@@ -169,3 +170,9 @@ class TestRandomCoprimePairs:
             random_coprime_pairs(1, 1, 1)
         with pytest.raises(DomainError):
             random_coprime_pairs(1, 2, 1)
+
+    def test_count_cap(self):
+        assert len(random_coprime_pairs(PAIR_COUNT_LIMIT, 10**4, 7)) == PAIR_COUNT_LIMIT
+        for count in (PAIR_COUNT_LIMIT + 1, 10**8):
+            with pytest.raises(DomainError):
+                random_coprime_pairs(count, 10**4, 7)
