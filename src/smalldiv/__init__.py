@@ -16,7 +16,6 @@ from .core import (
     b_via_square_divisors,
     divisors,
     factorize,
-    isqrt,
     sigma,
     small_divisor_sum,
     small_divisor_sum_factored,
@@ -50,7 +49,6 @@ from .summatory import (
     summatory_brute,
     summatory_brute_prefix,
     summatory_exact,
-    triangular,
 )
 from .witness import (
     Counterexample,
@@ -58,7 +56,6 @@ from .witness import (
     WitnessReport,
     liminf_witness,
     non_complete_counterexample,
-    primes_first,
     random_coprime_pairs,
     supermult_check,
     witness_report,

@@ -36,13 +36,6 @@ DIVISOR_CAP = 2**20
 _TRIAL_PRIME_LIMIT = 1000
 
 
-def isqrt(n: int) -> int:
-    """Integer square root: the r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise DomainError("isqrt requires n >= 0")
-    return math.isqrt(n)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A number together with its prime factorization.
@@ -190,21 +183,21 @@ def small_divisor_sum(n: int) -> int:
 
     Equals 1 exactly when n is 1 or prime. Computed as
     small_divisor_sum_factored(factorize(n)); every n in the domain has at
-    most 161280 divisors, well inside the default divisor budget.
+    most 161280 divisors, well inside DIVISOR_CAP.
     """
     if n < 1:
         raise DomainError("small_divisor_sum requires n >= 1")
     return small_divisor_sum_factored(factorize(n))
 
 
-def small_divisor_sum_factored(f: Factorization, cap: int = DIVISOR_CAP) -> int:
+def small_divisor_sum_factored(f: Factorization) -> int:
     """a(n) for n = f.value: the sum of its divisors d with d*d <= n.
 
-    Sums over divisors(f, cap), so the divisor budget applies. Also serves
+    Sums over divisors(f), so the DIVISOR_CAP budget applies. Also serves
     factorizations built directly, whose value may exceed 2**63.
     """
     n = f.value
-    return sum(d for d in divisors(f, cap) if d * d <= n)
+    return sum(d for d in divisors(f) if d * d <= n)
 
 
 def sigma(f: Factorization) -> int:

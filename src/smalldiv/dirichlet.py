@@ -25,23 +25,16 @@ from dataclasses import dataclass
 
 from .core import b_values_upto, small_divisor_sums_upto
 from .errors import DomainError
-from .primes import primes_upto
+from .primes import TABLE_LIMIT, primes_upto
 
 DEFAULT_ZETA_TERMS = 10**4
-DEFAULT_EULER_PRIME_BOUND = 10**5
 
 _WIDEN_ULPS = 4
 
 
-def _nudge_up(v: float, steps: int = _WIDEN_ULPS) -> float:
-    for _ in range(steps):
-        v = math.nextafter(v, math.inf)
-    return v
-
-
-def _nudge_down(v: float, steps: int = _WIDEN_ULPS) -> float:
-    for _ in range(steps):
-        v = math.nextafter(v, -math.inf)
+def _nudge(v: float, toward: float) -> float:
+    for _ in range(_WIDEN_ULPS):
+        v = math.nextafter(v, toward)
     return v
 
 
@@ -77,7 +70,7 @@ class Bracket:
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return Bracket(_nudge_down(min(products)), _nudge_up(max(products)))
+        return Bracket(_nudge(min(products), -math.inf), _nudge(max(products), math.inf))
 
 
 class Series(enum.Enum):
@@ -107,7 +100,8 @@ class DirichletPartialSum:
         if self.tail is None:
             return None
         return Bracket(
-            _nudge_down(self.value + self.tail.lo), _nudge_up(self.value + self.tail.hi)
+            _nudge(self.value + self.tail.lo, -math.inf),
+            _nudge(self.value + self.tail.hi, math.inf),
         )
 
 
@@ -119,11 +113,12 @@ def zeta_bracket(s: float, n_terms: int = DEFAULT_ZETA_TERMS) -> Bracket:
     the magnitude of the first omitted correction (the B4 term). The partial
     sum is exactly rounded (math.fsum), so a constant 32-ulp floor on the
     radius covers all floating-point noise and width shrinks as N grows.
+    The sum is linear in N, so N is capped at TABLE_LIMIT.
     """
     if not 1.0 < s < math.inf:
         raise DomainError("zeta_bracket requires finite s > 1")
-    if n_terms < 10:
-        raise DomainError("zeta_bracket requires n_terms >= 10")
+    if not 10 <= n_terms <= TABLE_LIMIT:
+        raise DomainError(f"zeta_bracket requires 10 <= n_terms <= {TABLE_LIMIT}")
     n = n_terms
     partial = math.fsum(float(k) ** -s for k in range(1, n))
     center = (
@@ -161,11 +156,11 @@ def partial_dirichlet(series: Series, sigma: float, n_terms: int) -> DirichletPa
         total += values[k] * float(k) ** -sigma
     tail = None
     if sigma > 2.0:
-        tail = Bracket(0.0, _nudge_up(float(n_terms) ** (2.0 - sigma) / (sigma - 2.0)))
+        tail = Bracket(0.0, _nudge(float(n_terms) ** (2.0 - sigma) / (sigma - 2.0), math.inf))
     return DirichletPartialSum(series, sigma, n_terms, total, tail)
 
 
-def divergence_lower_bound(n: int, zeta_terms: int = DEFAULT_ZETA_TERMS) -> float:
+def divergence_lower_bound(n: int) -> float:
     """Certified lower bound 2 ln(isqrt(n)) - 2 zeta(3/2) for the a-series at sigma = 3/2.
 
     Uses the upper end of the zeta(3/2) bracket, so the returned value never
@@ -173,11 +168,11 @@ def divergence_lower_bound(n: int, zeta_terms: int = DEFAULT_ZETA_TERMS) -> floa
     """
     if n < 2:
         raise DomainError("divergence_lower_bound requires n >= 2")
-    z_hi = zeta_bracket(1.5, zeta_terms).hi
-    return _nudge_down(2.0 * math.log(math.isqrt(n)) - 2.0 * z_hi)
+    z_hi = zeta_bracket(1.5).hi
+    return _nudge(2.0 * math.log(math.isqrt(n)) - 2.0 * z_hi, -math.inf)
 
 
-def convergence_upper_bound(sigma: float, zeta_terms: int = DEFAULT_ZETA_TERMS) -> float:
+def convergence_upper_bound(sigma: float) -> float:
     """Certified bound (zeta(2(sigma-1)) + 1) / (2 - sigma) for 3/2 < sigma < 2.
 
     Every partial sum of the a-series at this sigma stays below the returned
@@ -185,11 +180,11 @@ def convergence_upper_bound(sigma: float, zeta_terms: int = DEFAULT_ZETA_TERMS) 
     """
     if not 1.5 < sigma < 2.0:
         raise DomainError("convergence_upper_bound requires 1.5 < sigma < 2")
-    z_hi = zeta_bracket(2.0 * (sigma - 1.0), zeta_terms).hi
-    return _nudge_up((z_hi + 1.0) / (2.0 - sigma))
+    z_hi = zeta_bracket(2.0 * (sigma - 1.0)).hi
+    return _nudge((z_hi + 1.0) / (2.0 - sigma), math.inf)
 
 
-def euler_product_b(sigma: float, prime_bound: int = DEFAULT_EULER_PRIME_BOUND) -> float:
+def euler_product_b(sigma: float, prime_bound: int) -> float:
     """Truncated Euler product of the b-series over primes p <= prime_bound.
 
     Each local factor is (1 - p**(1-2 sigma))**-1 (1 - p**-sigma)**-1; the

@@ -15,10 +15,8 @@ from .errors import DomainError
 # Fixed Miller-Rabin witnesses: exact for all n < 3 317 044 064 679 887 385 961 981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Largest limit for the prime sieve and the a/b tables: 10**7 int64 entries
-# take 80 MB, and larger limits are rejected before anything is allocated.
+# Largest limit for the prime sieve, the a/b tables and the zeta_bracket sum:
+# 10**7 int64 entries take 80 MB, and larger limits are rejected up front.
 TABLE_LIMIT = 10**7
 
 
@@ -76,7 +74,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2**64 (and well beyond)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

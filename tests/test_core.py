@@ -12,7 +12,6 @@ from smalldiv.core import (
     b_via_square_divisors,
     divisors,
     factorize,
-    isqrt,
     sigma,
     small_divisor_sum,
     small_divisor_sum_factored,
@@ -21,24 +20,6 @@ from smalldiv.core import (
 )
 from smalldiv.errors import DivisorBudgetError, DomainError
 from smalldiv.primes import first_primes, is_prime
-
-
-class TestIsqrt:
-    def test_examples(self):
-        assert isqrt(0) == 0
-        assert isqrt(24) == 4
-        assert isqrt(10**18) == 10**9
-
-    def test_defining_property(self):
-        rng = random.Random(1)
-        values = list(range(3000)) + [rng.randrange(2**62) for _ in range(200)]
-        for n in values:
-            r = isqrt(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            isqrt(-1)
 
 
 class TestFactorize:
@@ -258,8 +239,11 @@ class TestSmallDivisorSum:
         assert small_divisor_sum_factored(factorize(n)) == expected
 
     def test_budget(self):
+        # squarefree product of the first 21 primes: 2**21 divisors, above DIVISOR_CAP
+        primes = first_primes(21)
+        f = Factorization(math.prod(primes), tuple((p, 1) for p in primes))
         with pytest.raises(DivisorBudgetError):
-            small_divisor_sum_factored(factorize(720720), cap=16)
+            small_divisor_sum_factored(f)
 
 
 class TestSigmaTau:
@@ -337,7 +321,7 @@ class TestBounds:
             for m in range(d, limit + 1, d):
                 tau_table[m] += 1
         for n in range(1, limit + 1):
-            r = isqrt(n)
+            r = math.isqrt(n)
             an = int(a[n])
             assert an <= r * (r + 1) // 2 <= n
             assert an * an <= n * tau_table[n] * tau_table[n]

@@ -79,6 +79,9 @@ class TestZetaBracket:
                 zeta_bracket(s)
         with pytest.raises(DomainError):
             zeta_bracket(2.0, 5)
+        for n_terms in (TABLE_LIMIT + 1, 10**12):
+            with pytest.raises(DomainError):
+                zeta_bracket(2.0, n_terms)
 
     def test_rejects_non_finite(self):
         for s in (math.inf, -math.inf, math.nan):

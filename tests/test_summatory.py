@@ -14,19 +14,7 @@ from smalldiv.summatory import (
     summatory_brute,
     summatory_brute_prefix,
     summatory_exact,
-    triangular,
 )
-
-
-class TestTriangular:
-    def test_examples(self):
-        assert triangular(0) == 0
-        assert triangular(4) == 10
-        assert triangular(10**9) == 500000000500000000
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            triangular(-1)
 
 
 class TestBrute:
@@ -81,11 +69,6 @@ class TestExact:
             x = rng.randrange(2, 10**6)
             diff = summatory_exact(x) - summatory_exact(x - 1)
             assert diff == reference.small_divisor_sum(x)
-
-    def test_region_a_closed_form(self):
-        # the closed form r(r+1)(r+2)/6 must equal the summed triangulars
-        for r in range(0, 1001):
-            assert r * (r + 1) * (r + 2) // 6 == sum(triangular(u) for u in range(1, r + 1))
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):

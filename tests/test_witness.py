@@ -3,30 +3,16 @@ import math
 import pytest
 
 import reference
-from smalldiv.core import isqrt
 from smalldiv.errors import DomainError, NotCoprimeError
+from smalldiv.primes import first_primes
 from smalldiv.witness import (
     PAIR_COUNT_LIMIT,
     liminf_witness,
     non_complete_counterexample,
-    primes_first,
     random_coprime_pairs,
     supermult_check,
     witness_report,
 )
-
-
-class TestPrimesFirst:
-    def test_examples(self):
-        assert primes_first(1) == [2]
-        assert primes_first(2) == [2, 3]
-        assert primes_first(6) == [2, 3, 5, 7, 11, 13]
-        assert primes_first(15)[-1] == 47
-
-    def test_range(self):
-        for m in (0, 16, -3):
-            with pytest.raises(DomainError):
-                primes_first(m)
 
 
 class TestWitnessReport:
@@ -51,12 +37,12 @@ class TestWitnessReport:
     def test_s_m_is_perfect_square(self):
         for m in range(1, 8):
             rep = witness_report(m)
-            assert isqrt(rep.s_m) ** 2 == rep.s_m
+            assert math.isqrt(rep.s_m) ** 2 == rep.s_m
 
     def test_lower_bound_matches_exact_rational(self):
         for m in range(1, 8):
             rep = witness_report(m)
-            exact = reference.one_plus_inverse_prime_product(primes_first(m))
+            exact = reference.one_plus_inverse_prime_product(first_primes(m))
             assert abs(rep.lower_bound - float(exact)) < 1e-12
 
     def test_ratio_strictly_increasing(self):
@@ -66,10 +52,6 @@ class TestWitnessReport:
     def test_extended_range_behind_flag(self):
         with pytest.raises(DomainError):
             witness_report(8)
-        rep8 = witness_report(8, allow_large=True)
-        assert rep8.ratio > witness_report(7).ratio
-        with pytest.raises(DomainError):
-            witness_report(11, allow_large=True)
         with pytest.raises(DomainError):
             witness_report(0)
 
