@@ -69,3 +69,31 @@ def one_plus_inverse_prime_product(primes: list[int]) -> Fraction:
     for p in primes:
         value *= Fraction(p + 1, p)
     return value
+
+
+def small_divisor_sums_upto(limit: int) -> list[int]:
+    """a(k) for 0 <= k <= limit (a(0) = 0), by adding each d to its multiples k >= d*d."""
+    values = [0] * (limit + 1)
+    for d in range(1, math.isqrt(limit) + 1):
+        for k in range(d * d, limit + 1, d):
+            values[k] += d
+    return values
+
+
+def b_values_upto(limit: int) -> list[int]:
+    """b(k) for 0 <= k <= limit (b(0) = 0), by adding each d to the multiples of d*d."""
+    values = [0] * (limit + 1)
+    for d in range(1, math.isqrt(limit) + 1):
+        for k in range(d * d, limit + 1, d * d):
+            values[k] += d
+    return values
+
+
+def partial_dirichlet(values: list[int], sigma: float, n: int) -> float:
+    """Sum of values[k] * k**-sigma for 1 <= k <= n, term by term in ascending k.
+
+    The terms are joined with math.fsum, so the result is the correctly
+    rounded sum of the rounded terms: within about 2 ulps, relative, of the
+    true sum, since every term is nonnegative.
+    """
+    return math.fsum(values[k] * float(k) ** -sigma for k in range(1, n + 1))

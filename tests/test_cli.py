@@ -2,14 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from smalldiv import cli
 from smalldiv.errors import DivisorBudgetError
 
@@ -334,10 +337,10 @@ GOLDEN = [
     ),
     (
         "dirichlet --series b --sigma 1.5 --terms 100", 0,
-        "series,sigma,terms,value\nb,1.5,100,3.47602109808557\n",
+        "series,sigma,terms,value\nb,1.5,100,3.47602109808556\n",
         (
             '{"command":"dirichlet","params":{"series":"b","sigma":1.5,"terms":100},'
-            '"rows":[{"series":"b","sigma":1.5,"terms":100,"value":3.47602109808557}]}\n'
+            '"rows":[{"series":"b","sigma":1.5,"terms":100,"value":3.47602109808556}]}\n'
         ),
     ),
     (
@@ -421,6 +424,49 @@ def test_golden_transcript(capsys, fmt, argv, code, csv_out, json_out):
     got_code, out, _ = run_cli(capsys, *argv.split(), *extra)
     assert (got_code, out) == (code, json_out if fmt == "json" else csv_out)
 
+
+# The partial-sum fields of the golden Dirichlet rows as the term-by-term
+# table route printed them. A golden value that differs from these was
+# re-pinned, and must be at least as close to the exact value.
+TABLE_ROUTE_PRINTED = {
+    "dirichlet --series a --sigma 2.5 --terms 100": {"value": "1.5149814367028"},
+    "dirichlet --series b --sigma 1.5 --terms 100": {"value": "3.47602109808557"},
+    "divergence --terms 1000": {"partial_sum": "7.03855143977068"},
+    "sandwich --sigma 2.5 --terms 1000": {"l_lo": "1.52366619391179", "l_hi": "1.58691174711694"},
+}
+
+
+def _exact_field(argv: str, field: str):
+    """The real number a printed partial-sum field stands for, to 40 digits.
+
+    value and partial_sum are the partial sum S itself. sandwich widens it to
+    [S - slack, S + tail + slack], with slack = 4 (N + 4) ulp(S) and
+    tail = N**(2 - sigma) / (sigma - 2); the row's S lies in [1, 2).
+    """
+    words = argv.split()
+    opts = dict(zip(words[1::2], words[2::2]))
+    n, sigma = int(opts["--terms"]), mpmath.mpf(opts.get("--sigma", "1.5"))
+    table = reference.b_values_upto if opts.get("--series") == "b" else reference.small_divisor_sums_upto
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(v * mpmath.mpf(k) ** -sigma for k, v in enumerate(table(n)) if v)
+        slack = 4 * (n + 4) * math.ulp(1.0)
+        if field == "l_lo":
+            return exact - slack
+        if field == "l_hi":
+            return exact + mpmath.mpf(n) ** (2 - sigma) / (sigma - 2) + slack
+        return exact
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_ROUTE_PRINTED))
+def test_golden_dirichlet_values_are_no_farther_from_exact(argv):
+    (csv_out,) = [case[2] for case in GOLDEN if case[0] == argv]
+    header, (row,) = parse_csv(csv_out)
+    printed = dict(zip(header, row))
+    for field, parent in TABLE_ROUTE_PRINTED[argv].items():
+        exact = _exact_field(argv, field)
+        assert abs(mpmath.mpf(printed[field]) - exact) <= abs(mpmath.mpf(parent) - exact), (argv, field)
+
+
 _JUNK = st.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", "inf", "-inf", "-", "--", " 7"])
 _HUGE = st.sampled_from(["10000000000", str(10**20), str(2**63)])
 
@@ -481,6 +527,9 @@ NUMPY_FREE_COMMANDS = [
     ["summatory", "--x", "100000"],
     ["residual", "--points", "10,1000"],
     ["euler", "--sigma", "3", "--primes", "1000"],
+    ["dirichlet", "--series", "a", "--sigma", "2.5", "--terms", "1000"],
+    ["divergence", "--terms", "1000"],
+    ["sandwich", "--sigma", "2.5", "--terms", "1000"],
 ]
 
 _IMPORT_PROBE = """
@@ -491,13 +540,13 @@ for argv in json.loads(sys.argv[1]):
         assert cli.run(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run(["dirichlet", "--series", "a", "--sigma", "2.5", "--terms", "1000"]) == 0
+    assert cli.run(["summatory", "--x", "1000", "--method", "brute"]) == 0
 assert "numpy" in sys.modules
 """
 
 
 def test_only_the_tables_load_numpy():
-    """The scalar commands run in a fresh interpreter without importing numpy; dirichlet loads it."""
+    """Every command but the brute summatory runs in a fresh interpreter without importing numpy."""
     import smalldiv
 
     src = os.path.dirname(os.path.dirname(smalldiv.__file__))

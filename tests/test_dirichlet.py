@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from scipy.special import zeta as scipy_zeta
@@ -139,6 +140,13 @@ class TestPartialDirichlet:
             partial_dirichlet(Series.A, 1.5, 0)
         with pytest.raises(DomainError):
             partial_dirichlet("a", 1.5, 10)
+        # rejected before any work: uncapped, 10**20 terms are a 10**10-step loop
+        for series in Series:
+            for n_terms in (TABLE_LIMIT + 1, 10**20):
+                start = time.perf_counter()
+                with pytest.raises(DomainError):
+                    partial_dirichlet(series, 2.5, n_terms)
+                assert time.perf_counter() - start < 0.1
 
     def test_rejects_non_finite(self):
         for series in Series:
