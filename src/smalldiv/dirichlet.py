@@ -141,7 +141,8 @@ def zeta_bracket(s: float, n_terms: int = DEFAULT_ZETA_TERMS) -> Bracket:
 HARMONIC_TABLE_SIZE = 4096  # M0; a power of two, so m / M0 is exact
 
 
-@lru_cache(maxsize=32)
+# one table per sigma in use: series-scan sums at 1.5, 1.75, 3.0 and 2.5, a CLI run at most three
+@lru_cache(maxsize=4)
 def _partial_zeta(s: float):
     """The function m -> H_s(m), the sum of k**-s for 1 <= k <= m, at one s > 0.
 

@@ -1,10 +1,10 @@
 """Per-kernel, per-subcommand and import timings of two smalldiv trees, side by side.
 
-    python tools/bench_kernels.py PARENT_DIR CHANGE_DIR OUT.json [--rounds 5]
+    python tools/bench_kernels.py PARENT_DIR CHANGE_DIR OUT.json
 
 Each DIR is a checkout holding src/smalldiv. Every measurement runs in a fresh
-interpreter with PYTHONPATH=DIR/src, and the two trees alternate round by
-round, which side goes first alternating too. The JSON holds, per side, the
+interpreter with PYTHONPATH=DIR/src, and the two trees alternate for ROUNDS
+rounds, which side goes first alternating too. The JSON holds, per side, the
 median and quartiles of:
 
   kernels      in-process milliseconds of one call. Every lru_cache in
@@ -30,6 +30,7 @@ import subprocess
 import sys
 from time import perf_counter
 
+ROUNDS = 5
 KERNELS = {
     "partial_dirichlet a N=1e5": "d.partial_dirichlet(d.Series.A, 1.5, 10**5)",
     "partial_dirichlet b N=1e5": "d.partial_dirichlet(d.Series.B, 3.0, 10**5)",
@@ -144,17 +145,16 @@ def main() -> None:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("out")
-    parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
     trees = {"parent": args.parent, "change": args.change}
     samples: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
             for name, values in measure_round(trees[side], seed=r).items():
                 samples[side].setdefault(name, []).extend(values)
     result = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "metrics": {name: {side: summarize(samples[side][name]) for side in trees}
                     for name in samples["parent"]},
         "numpy loaded after": {
