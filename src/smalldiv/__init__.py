@@ -54,7 +54,6 @@ from .witness import (
     Counterexample,
     SupermultCheck,
     WitnessReport,
-    liminf_witness,
     non_complete_counterexample,
     random_coprime_pairs,
     supermult_check,

@@ -8,15 +8,15 @@ from the table up to M0 = 4096 and continued by Euler-Maclaurin beyond it
 (see _partial_zeta and partial_dirichlet).
 
 Brackets are closed binary64 intervals meant to contain the true real
-quantity. The enclosure policy is pragmatic rather than formal interval
-arithmetic: truncation error is bounded analytically and rounding error by an
-ulp allowance per arithmetic step, with every bracket combination widened
-outward by a further 4 ulps per endpoint. That slack is orders of magnitude
-below every tolerance used by the checks here.
+quantity: truncation error is bounded analytically, rounding error by a stated
+ulp allowance, and every bracket combination is widened outward by a further
+4 ulps per endpoint. Sums of k**-s beyond a direct head come from one kernel,
+_euler_maclaurin, through B16 with the B18 term as its radius (every derivative
+of x**-s keeps its sign); partial sums allow 4 (isqrt(N) + 4) ulps of rounding.
 
 What gets certified numerically, all on the real axis:
-  * zeta(s) for s > 1 by Euler-Maclaurin through the B2 correction, with the
-    B4 term's magnitude as the truncation radius;
+  * zeta(s) for s > 1: the terms k < 16 summed exactly rounded, then the
+    kernel from k = 16 on, with a 32-ulp floor on the radius;
   * the divergence direction at sigma = 3/2: partial sums of a(n)/n**sigma
     dominate 2 ln(isqrt(n)) - 2 zeta(3/2);
   * the convergence direction for 3/2 < sigma < 2: partial sums never exceed
@@ -33,9 +33,12 @@ from functools import lru_cache
 from .errors import DomainError
 from .primes import TABLE_LIMIT, primes_upto
 
-DEFAULT_ZETA_TERMS = 10**4
-
 _WIDEN_ULPS = 4
+_EM_TERMS = 8  # J: Euler-Maclaurin corrections B2 .. B16
+_ZETA_HEAD = 16  # K: zeta(s) sums k < K directly
+# B_2j / (2j)! for j = 1 .. J + 1, each the correctly rounded quotient
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
+              1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000)
 
 
 def _nudge(v: float, toward: float) -> float:
@@ -102,39 +105,58 @@ class DirichletPartialSum:
     tail: Bracket | None
 
     def full_series_bracket(self) -> Bracket | None:
-        """Bracket for the full series value, when the tail is bounded."""
+        """Bracket for the full series value, when the tail is bounded.
+
+        S is widened by 4 (isqrt(N) + 4) ulp(S). A tail exists only for sigma > 2,
+        where each of the isqrt(N) lattice terms is a weight y**(1-sigma) <= 1 times
+        one H value or a difference of two, each within 2 ulps of H <= S (beyond M0
+        the kernel's radius is below 1e-60): 4 ulp(S) a term. The roundings of the
+        weights, differences and products are relative to nonnegative terms summing
+        to S, about 4 ulp(S) in all, and math.fsum adds half an ulp: the +4 covers both.
+        """
         if self.tail is None:
             return None
-        return Bracket(
-            _nudge(self.value + self.tail.lo, -math.inf),
-            _nudge(self.value + self.tail.hi, math.inf),
-        )
+        err = _WIDEN_ULPS * (math.isqrt(self.n_terms) + 4) * math.ulp(max(self.value, 1.0))
+        lo, hi = self.value + self.tail.lo - err, self.value + self.tail.hi + err
+        return Bracket(_nudge(lo, -math.inf), _nudge(hi, math.inf))
 
 
-def zeta_bracket(s: float, n_terms: int = DEFAULT_ZETA_TERMS) -> Bracket:
+def _euler_maclaurin(s: float, a: int, b: float) -> tuple[float, float]:
+    """The sum of k**-s for integers a <= k <= b, and its truncation radius; b = inf needs s > 1.
+
+    Euler-Maclaurin: the integral a**(1-s) expm1((1-s) ln(b/a)) / (1-s) (ln(b/a)
+    at s = 1), (a**-s + b**-s)/2, and B_2j/(2j)! (s)_(2j-1) (a**(1-s-2j) - b**(1-s-2j))
+    for j = 1..J, (s)_n rising. Every derivative of x**-s keeps its sign, so the
+    remainder is at most the term j = J + 1 at a: the radius. (s)_(2j-1) is
+    applied a factor at a time, so a power that underflowed to 0 stays 0.
+    """
+    log_ratio = math.log(b / a)
+    a_pow, b_pow = float(a) ** -s, b**-s
+    integral = log_ratio
+    if s != 1.0:
+        integral = a * a_pow * math.expm1((1.0 - s) * log_ratio) / (1.0 - s)
+    at, bt = s * a_pow / a, s * b_pow / b  # (s)_(2j-1) x**(1-s-2j) at j = 1
+    corrections, k = 0.0, s  # k = s + 2j - 2
+    for c in _EM_COEFFS[:_EM_TERMS]:
+        corrections += c * (at - bt)
+        at = at * ((k + 1.0) / a) * ((k + 2.0) / a)
+        bt = bt * ((k + 1.0) / b) * ((k + 2.0) / b)
+        k += 2.0
+    return integral + 0.5 * (a_pow + b_pow) + corrections, _EM_COEFFS[_EM_TERMS] * at
+
+
+def zeta_bracket(s: float) -> Bracket:
     """Bracket containing zeta(s) for real s > 1.
 
-    Euler-Maclaurin: sum k**-s for k < N, then the corrections N**-s / 2,
-    N**(1-s)/(s-1) and the B2 term s N**(-s-1) / 12. The truncation radius is
-    the magnitude of the first omitted correction (the B4 term). The partial
-    sum is exactly rounded (math.fsum), so a constant 32-ulp floor on the
-    radius covers all floating-point noise and width shrinks as N grows.
-    The sum is linear in N, so N is capped at TABLE_LIMIT.
+    math.fsum of k**-s for k < K = 16 and of _euler_maclaurin on [16, inf),
+    whose radius is below 1e-21 at every s > 1; a 32-ulp floor on the radius
+    covers the rounding of the powers and of the kernel.
     """
     if not 1.0 < s < math.inf:
         raise DomainError("zeta_bracket requires finite s > 1")
-    if not 10 <= n_terms <= TABLE_LIMIT:
-        raise DomainError(f"zeta_bracket requires 10 <= n_terms <= {TABLE_LIMIT}")
-    n = n_terms
-    partial = math.fsum(float(k) ** -s for k in range(1, n))
-    center = (
-        partial
-        + 0.5 * float(n) ** -s
-        + float(n) ** (1.0 - s) / (s - 1.0)
-        + s * float(n) ** (-s - 1.0) / 12.0
-    )
-    trunc = s * (s + 1.0) * (s + 2.0) * float(n) ** (-s - 3.0) / 720.0
-    radius = trunc + 32.0 * math.ulp(max(abs(center), 1.0))
+    rest, radius = _euler_maclaurin(s, _ZETA_HEAD, math.inf)
+    center = math.fsum([*(float(k) ** -s for k in range(1, _ZETA_HEAD)), rest])
+    radius += 32.0 * math.ulp(max(abs(center), 1.0))
     return Bracket(center - radius, center + radius)
 
 
@@ -148,12 +170,9 @@ def _partial_zeta(s: float):
 
     For m <= M0 it reads a table of prefix sums built with a Neumaier
     (compensated) running sum, so each entry is within about an ulp of the
-    sum of the rounded terms. Beyond M0 it adds to H_s(M0) the Euler-Maclaurin
-    sum from M0 to m through the B2 term: the integral
-    M0**(1-s) expm1((1-s) ln(m/M0)) / (1-s), which is ln(m/M0) at s = 1, then
-    (m**-s - M0**-s)/2 and s (M0**(-s-1) - m**(-s-1))/12. The omitted
-    remainder is at most the B4 term, s(s+1)(s+2) M0**(-s-3)/720, because
-    every derivative of x**-s keeps its sign.
+    sum of the rounded terms. Beyond M0 it adds to H_s(M0 - 1) the kernel
+    _euler_maclaurin over [M0, m]; at a = M0 its radius is below 1e-60 for
+    every s > 0, so it is left out.
     """
     m0 = HARMONIC_TABLE_SIZE
     table = [0.0] * (m0 + 1)
@@ -165,19 +184,10 @@ def _partial_zeta(s: float):
         carry += (total - new) + term
         total = new
         table[k] = total + carry
-    head = table[m0]
-    m0_pow = float(m0) ** -s
-    one_minus_s = 1.0 - s
+    head = table[m0] - float(m0) ** -s
 
     def harmonic(m: int) -> float:
-        if m <= m0:
-            return table[m]
-        log_ratio = math.log(m / m0)
-        integral = log_ratio
-        if one_minus_s:
-            integral = m0 * m0_pow * math.expm1(one_minus_s * log_ratio) / one_minus_s
-        m_pow = float(m) ** -s
-        return head + integral + 0.5 * (m_pow - m0_pow) + s * (m0_pow / m0 - m_pow / m) / 12.0
+        return table[m] if m <= m0 else head + _euler_maclaurin(s, m0, m)[0]
 
     return harmonic
 
@@ -190,13 +200,12 @@ def partial_dirichlet(series: Series, sigma: float, n_terms: int) -> DirichletPa
       a-series: sum over y <= sqrt N of y**(1-sigma) (H(N//y) - H(y-1)),
       b-series: sum over d <= sqrt N of d**(1-2 sigma) H(N//d**2).
     The sqrt N terms are joined with math.fsum. The error is that of the H
-    values, weighted by y**(1-sigma): the table's ulp, the Euler-Maclaurin
-    remainder (below s(s+1)(s+2) M0**(-s-3)/720 per value) and the rounding of
-    the integral term. Against exact sums at N <= 2*10**4 it stayed below
-    3e-16 relative. The work grows as sqrt N, but N is still capped at
-    TABLE_LIMIT, checked first. For sigma > 2 a tail bracket
-    [0, N**(2-sigma)/(sigma-2)] derived from f(k) <= k is attached; for smaller
-    sigma none is available.
+    values, weighted by y**(1-sigma), plus the rounding of each term; against
+    exact sums at N <= 2*10**4 it stayed below 3e-16 relative. The work grows
+    as sqrt N, but N is still capped at TABLE_LIMIT, checked first. For
+    sigma > 2 a tail bracket [0, N**(2-sigma)/(sigma-2)] derived from
+    f(k) <= k is attached, and full_series_bracket states the rounding bound;
+    for smaller sigma none is available.
     """
     if not isinstance(series, Series):
         raise DomainError("series must be a Series member")
@@ -274,7 +283,7 @@ class SandwichReport:
 def sandwich_check(sigma: float, n_terms: int) -> SandwichReport:
     """Check zeta(2s-1) zeta(s) <= L(s,a) <= zeta(s-1) at real sigma > 2.
 
-    L(sigma, a) is bracketed as [partial sum, partial sum + tail bound]. The
+    L(sigma, a) is bracketed by the partial sum's full_series_bracket. The
     bracket-compatible comparisons are: the zeta-product's lower end must not
     exceed the L-bracket's upper end, and the L-bracket's lower end must not
     exceed the zeta(sigma-1) bracket's upper end.
@@ -283,9 +292,6 @@ def sandwich_check(sigma: float, n_terms: int) -> SandwichReport:
         raise DomainError("sandwich_check requires sigma > 2 (tail bound unavailable below)")
     partial = partial_dirichlet(Series.A, sigma, n_terms)
     l_bracket = partial.full_series_bracket()
-    # Partial-sum rounding: same ulp-per-term allowance as the zeta brackets.
-    slack = _WIDEN_ULPS * (n_terms + 4) * math.ulp(max(abs(partial.value), 1.0))
-    l_bracket = Bracket(l_bracket.lo - slack, l_bracket.hi + slack)
     product = zeta_bracket(2.0 * sigma - 1.0) * zeta_bracket(sigma)
     upper = zeta_bracket(sigma - 1.0)
     return SandwichReport(

@@ -46,7 +46,8 @@ def prime_flags(limit: int) -> bytes:
     return bytes(flags)
 
 
-@lru_cache(maxsize=8)
+# factorize's trial primes below 1000, which every call reuses, and one other bound (0.4 MB at 10**5)
+@lru_cache(maxsize=2)
 def primes_upto(limit: int) -> tuple[int, ...]:
     """All primes <= limit, ascending."""
     odd = _odd_sieve(limit)

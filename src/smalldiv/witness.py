@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import Factorization, factorize, small_divisor_sum, small_divisor_sum_factored
 from .errors import DomainError, NotCoprimeError
-from .primes import first_primes, primes_upto
+from .primes import first_primes
 
 # Largest m for witness_report: s_7 has 3**7 = 2187 divisors to enumerate.
 WITNESS_MAX = 7
@@ -65,13 +65,6 @@ def witness_report(m: int) -> WitnessReport:
     if ratio < lower:
         raise AssertionError(f"witness ratio {ratio} fell below its bound {lower}")
     return WitnessReport(m, s_m, a_value, ratio, lower)
-
-
-def liminf_witness(bound: int) -> list[tuple[int, int]]:
-    """All primes p <= bound paired with a(p); every a(p) equals 1."""
-    if bound < 2:
-        raise DomainError("liminf_witness requires bound >= 2")
-    return [(p, small_divisor_sum(p)) for p in primes_upto(bound)]
 
 
 @dataclass(frozen=True)

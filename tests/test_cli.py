@@ -327,12 +327,12 @@ GOLDEN = [
         "dirichlet --series a --sigma 2.5 --terms 100", 0,
         (
             "series,sigma,terms,value,tail_lo,tail_hi,series_lo,series_hi\n"
-            "a,2.5,100,1.5149814367028,0,0.2,1.5149814367028,1.7149814367028\n"
+            "a,2.5,100,1.5149814367028,0,0.2,1.51498143670279,1.71498143670282\n"
         ),
         (
             '{"command":"dirichlet","params":{"series":"a","sigma":2.5,"terms":100},'
             '"rows":[{"series":"a","sigma":2.5,"terms":100,"value":1.5149814367028,"tail_lo":0,'
-            '"tail_hi":0.2,"series_lo":1.5149814367028,"series_hi":1.7149814367028}]}\n'
+            '"tail_hi":0.2,"series_lo":1.51498143670279,"series_hi":1.71498143670282}]}\n'
         ),
     ),
     (
@@ -371,13 +371,13 @@ GOLDEN = [
         "sandwich --sigma 2.5 --terms 1000", 0,
         (
             "sigma,terms,lower_ok,upper_ok,product_lo,product_hi,l_lo,l_hi,upper_lo,upper_hi\n"
-            "2.5,1000,true,true,1.45192282625008,1.45192282625012,1.52366619391179,1.58691174711694,"
+            "2.5,1000,true,true,1.45192282625008,1.45192282625012,1.52366619391265,1.58691174711608,"
             "2.61237534868547,2.6123753486855\n"
         ),
         (
             '{"command":"sandwich","params":{"sigma":2.5,"terms":1000},"rows":[{"sigma":2.5,"terms":1000,'
             '"lower_ok":true,"upper_ok":true,"product_lo":1.45192282625008,"product_hi":1.45192282625012,'
-            '"l_lo":1.52366619391179,"l_hi":1.58691174711694,"upper_lo":2.61237534868547,'
+            '"l_lo":1.52366619391265,"l_hi":1.58691174711608,"upper_lo":2.61237534868547,'
             '"upper_hi":2.6123753486855}]}\n'
         ),
     ),
@@ -432,39 +432,52 @@ TABLE_ROUTE_PRINTED = {
     "dirichlet --series a --sigma 2.5 --terms 100": {"value": "1.5149814367028"},
     "dirichlet --series b --sigma 1.5 --terms 100": {"value": "3.47602109808557"},
     "divergence --terms 1000": {"partial_sum": "7.03855143977068"},
-    "sandwich --sigma 2.5 --terms 1000": {"l_lo": "1.52366619391179", "l_hi": "1.58691174711694"},
+}
+
+# The golden rows that print a full-series bracket: its (lo, hi) fields, and
+# the bracket as printed when sandwich still widened it by 4 (N + 4) ulps, or
+# None where nothing widened it.
+FULL_SERIES_PRINTED = {
+    "dirichlet --series a --sigma 2.5 --terms 100": (("series_lo", "series_hi"), None),
+    "sandwich --sigma 2.5 --terms 1000": (("l_lo", "l_hi"), ("1.52366619391179", "1.58691174711694")),
 }
 
 
-def _exact_field(argv: str, field: str):
-    """The real number a printed partial-sum field stands for, to 40 digits.
+def _golden_row(argv: str) -> dict:
+    (csv_out,) = [case[2] for case in GOLDEN if case[0] == argv]
+    header, (row,) = parse_csv(csv_out)
+    return dict(zip(header, row))
 
-    value and partial_sum are the partial sum S itself. sandwich widens it to
-    [S - slack, S + tail + slack], with slack = 4 (N + 4) ulp(S) and
-    tail = N**(2 - sigma) / (sigma - 2); the row's S lies in [1, 2).
-    """
+
+def _exact_partial_sum(argv: str):
+    """The row's partial sum over k <= --terms, to 40 digits, and its --terms and --sigma."""
     words = argv.split()
     opts = dict(zip(words[1::2], words[2::2]))
     n, sigma = int(opts["--terms"]), mpmath.mpf(opts.get("--sigma", "1.5"))
     table = reference.b_values_upto if opts.get("--series") == "b" else reference.small_divisor_sums_upto
     with mpmath.workdps(40):
-        exact = mpmath.fsum(v * mpmath.mpf(k) ** -sigma for k, v in enumerate(table(n)) if v)
-        slack = 4 * (n + 4) * math.ulp(1.0)
-        if field == "l_lo":
-            return exact - slack
-        if field == "l_hi":
-            return exact + mpmath.mpf(n) ** (2 - sigma) / (sigma - 2) + slack
-        return exact
+        return mpmath.fsum(v * mpmath.mpf(k) ** -sigma for k, v in enumerate(table(n)) if v), n, sigma
 
 
 @pytest.mark.parametrize("argv", sorted(TABLE_ROUTE_PRINTED))
 def test_golden_dirichlet_values_are_no_farther_from_exact(argv):
-    (csv_out,) = [case[2] for case in GOLDEN if case[0] == argv]
-    header, (row,) = parse_csv(csv_out)
-    printed = dict(zip(header, row))
+    printed = _golden_row(argv)
+    exact, _, _ = _exact_partial_sum(argv)
     for field, parent in TABLE_ROUTE_PRINTED[argv].items():
-        exact = _exact_field(argv, field)
         assert abs(mpmath.mpf(printed[field]) - exact) <= abs(mpmath.mpf(parent) - exact), (argv, field)
+
+
+@pytest.mark.parametrize("argv", sorted(FULL_SERIES_PRINTED))
+def test_golden_series_brackets_enclose(argv):
+    """Printed lo <= exact partial sum S, and S + tail bound <= printed hi, at 40 digits."""
+    (lo_field, hi_field), widened = FULL_SERIES_PRINTED[argv]
+    printed = _golden_row(argv)
+    lo, hi = mpmath.mpf(printed[lo_field]), mpmath.mpf(printed[hi_field])
+    exact, n, sigma = _exact_partial_sum(argv)
+    with mpmath.workdps(40):
+        assert lo <= exact and exact + mpmath.mpf(n) ** (2 - sigma) / (sigma - 2) <= hi, argv
+        if widened:
+            assert hi - lo < mpmath.mpf(widened[1]) - mpmath.mpf(widened[0]), argv
 
 
 _JUNK = st.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", "inf", "-inf", "-", "--", " 7"])

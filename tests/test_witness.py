@@ -7,7 +7,6 @@ from smalldiv.errors import DomainError, NotCoprimeError
 from smalldiv.primes import first_primes
 from smalldiv.witness import (
     PAIR_COUNT_LIMIT,
-    liminf_witness,
     non_complete_counterexample,
     random_coprime_pairs,
     supermult_check,
@@ -54,21 +53,6 @@ class TestWitnessReport:
             witness_report(8)
         with pytest.raises(DomainError):
             witness_report(0)
-
-
-class TestLiminfWitness:
-    def test_small_bounds(self):
-        assert liminf_witness(10) == [(2, 1), (3, 1), (5, 1), (7, 1)]
-        assert liminf_witness(2) == [(2, 1)]
-
-    def test_count_and_values_at_1e4(self):
-        pairs = liminf_witness(10**4)
-        assert len(pairs) == 1229
-        assert all(a == 1 for _, a in pairs)
-
-    def test_rejects_small_bound(self):
-        with pytest.raises(DomainError):
-            liminf_witness(1)
 
 
 class TestSupermult:

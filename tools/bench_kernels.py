@@ -37,6 +37,7 @@ KERNELS = {
     "partial_dirichlet a N=1e7": "d.partial_dirichlet(d.Series.A, 1.5, 10**7)",
     "partial_dirichlet b N=1e7": "d.partial_dirichlet(d.Series.B, 3.0, 10**7)",
     "zeta_bracket s=2.5": "d.zeta_bracket(2.5)",
+    "zeta_bracket s=1.000001": "d.zeta_bracket(1.000001)",
     "euler_product_b N=1e5": "d.euler_product_b(3.0, 10**5)",
 }
 SUBCOMMANDS = {
