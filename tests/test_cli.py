@@ -432,6 +432,7 @@ TABLE_ROUTE_PRINTED = {
     "dirichlet --series a --sigma 2.5 --terms 100": {"value": "1.5149814367028"},
     "dirichlet --series b --sigma 1.5 --terms 100": {"value": "3.47602109808557"},
     "divergence --terms 1000": {"partial_sum": "7.03855143977068"},
+    "sandwich --sigma 2.5 --terms 1000": {"l_lo": "1.52366619391179", "l_hi": "1.58691174711694"},
 }
 
 # The golden rows that print a full-series bracket: its (lo, hi) fields, and
@@ -461,10 +462,13 @@ def _exact_partial_sum(argv: str):
 
 @pytest.mark.parametrize("argv", sorted(TABLE_ROUTE_PRINTED))
 def test_golden_dirichlet_values_are_no_farther_from_exact(argv):
+    """Each field is as close as before to what it bounds: S, or S + tail for l_hi."""
     printed = _golden_row(argv)
-    exact, _, _ = _exact_partial_sum(argv)
-    for field, parent in TABLE_ROUTE_PRINTED[argv].items():
-        assert abs(mpmath.mpf(printed[field]) - exact) <= abs(mpmath.mpf(parent) - exact), (argv, field)
+    exact, n, sigma = _exact_partial_sum(argv)
+    with mpmath.workdps(40):
+        for field, parent in TABLE_ROUTE_PRINTED[argv].items():
+            target = exact + mpmath.mpf(n) ** (2 - sigma) / (sigma - 2) if field == "l_hi" else exact
+            assert abs(mpmath.mpf(printed[field]) - target) <= abs(mpmath.mpf(parent) - target), (argv, field)
 
 
 @pytest.mark.parametrize("argv", sorted(FULL_SERIES_PRINTED))
