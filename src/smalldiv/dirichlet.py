@@ -11,8 +11,9 @@ Brackets are closed binary64 intervals meant to contain the true real
 quantity: truncation error is bounded analytically, rounding error by a stated
 ulp allowance, and every bracket combination is widened outward by a further
 4 ulps per endpoint. Sums of k**-s beyond a direct head come from one kernel,
-_euler_maclaurin, through B16 with the B18 term as its radius (every derivative
-of x**-s keeps its sign); partial sums allow 4 (isqrt(N) + 4) ulps of rounding.
+_euler_maclaurin, through at most B16, stopping once a term is below 2**-70 of
+the sum, with the first omitted term as its radius (every derivative of x**-s
+keeps its sign); partial sums allow 4 (isqrt(N) + 4) ulps of rounding.
 
 What gets certified numerically, all on the real axis:
   * zeta(s) for s > 1: the terms k < 16 summed exactly rounded, then the
@@ -34,7 +35,8 @@ from .errors import DomainError
 from .primes import TABLE_LIMIT, primes_upto
 
 _WIDEN_ULPS = 4
-_EM_TERMS = 8  # J: Euler-Maclaurin corrections B2 .. B16
+_EM_TERMS = 8  # J: Euler-Maclaurin corrections B2 .. B16 at most
+_EM_NEGLIGIBLE = 2.0**-70  # corrections stop at the first term this small relative to the sum
 _ZETA_HEAD = 16  # K: zeta(s) sums k < K directly
 # B_2j / (2j)! for j = 1 .. J + 1, each the correctly rounded quotient
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
@@ -110,7 +112,7 @@ class DirichletPartialSum:
         S is widened by 4 (isqrt(N) + 4) ulp(S). A tail exists only for sigma > 2,
         where each of the isqrt(N) lattice terms is a weight y**(1-sigma) <= 1 times
         one H value or a difference of two, each within 2 ulps of H <= S (beyond M0
-        the kernel's radius is below 1e-60): 4 ulp(S) a term. The roundings of the
+        the kernel's radius is below 2**-70 H): 4 ulp(S) a term. The roundings of the
         weights, differences and products are relative to nonnegative terms summing
         to S, about 4 ulp(S) in all, and math.fsum adds half an ulp: the +4 covers both.
         """
@@ -126,31 +128,37 @@ def _euler_maclaurin(s: float, a: int, b: float) -> tuple[float, float]:
 
     Euler-Maclaurin: the integral a**(1-s) expm1((1-s) ln(b/a)) / (1-s) (ln(b/a)
     at s = 1), (a**-s + b**-s)/2, and B_2j/(2j)! (s)_(2j-1) (a**(1-s-2j) - b**(1-s-2j))
-    for j = 1..J, (s)_n rising. Every derivative of x**-s keeps its sign, so the
-    remainder is at most the term j = J + 1 at a: the radius. (s)_(2j-1) is
-    applied a factor at a time, so a power that underflowed to 0 stays 0.
+    for j = 1..J, (s)_n rising, stopping before the first term whose size at a is
+    at most 2**-70 of the integral plus the endpoint terms, far below an ulp.
+    Every derivative of x**-s keeps its sign, so the remainder is at most the
+    first omitted term at a: the radius. (s)_(2j-1) is applied a factor at a time, so a power that
+    underflowed to 0 stays 0.
     """
     log_ratio = math.log(b / a)
     a_pow, b_pow = float(a) ** -s, b**-s
     integral = log_ratio
     if s != 1.0:
         integral = a * a_pow * math.expm1((1.0 - s) * log_ratio) / (1.0 - s)
+    head = integral + 0.5 * (a_pow + b_pow)
     at, bt = s * a_pow / a, s * b_pow / b  # (s)_(2j-1) x**(1-s-2j) at j = 1
     corrections, k = 0.0, s  # k = s + 2j - 2
-    for c in _EM_COEFFS[:_EM_TERMS]:
+    for j, c in enumerate(_EM_COEFFS):
+        # B_4, B_8, ... are negative, so compare magnitudes
+        if j == _EM_TERMS or abs(c) * at <= _EM_NEGLIGIBLE * head:
+            break
         corrections += c * (at - bt)
         at = at * ((k + 1.0) / a) * ((k + 2.0) / a)
         bt = bt * ((k + 1.0) / b) * ((k + 2.0) / b)
         k += 2.0
-    return integral + 0.5 * (a_pow + b_pow) + corrections, _EM_COEFFS[_EM_TERMS] * at
+    return head + corrections, abs(c) * at
 
 
 def zeta_bracket(s: float) -> Bracket:
     """Bracket containing zeta(s) for real s > 1.
 
     math.fsum of k**-s for k < K = 16 and of _euler_maclaurin on [16, inf),
-    whose radius is below 1e-21 at every s > 1; a 32-ulp floor on the radius
-    covers the rounding of the powers and of the kernel.
+    whose radius is below 1e-21 of zeta(s) at every s > 1; a 32-ulp floor on
+    the radius covers the rounding of the powers and of the kernel.
     """
     if not 1.0 < s < math.inf:
         raise DomainError("zeta_bracket requires finite s > 1")
@@ -171,8 +179,8 @@ def _partial_zeta(s: float):
     For m <= M0 it reads a table of prefix sums built with a Neumaier
     (compensated) running sum, so each entry is within about an ulp of the
     sum of the rounded terms. Beyond M0 it adds to H_s(M0 - 1) the kernel
-    _euler_maclaurin over [M0, m]; at a = M0 its radius is below 1e-60 for
-    every s > 0, so it is left out.
+    _euler_maclaurin over [M0, m]; at a = M0 its radius is below 2**-70 of its
+    value for every s > 0, so it is left out.
     """
     m0 = HARMONIC_TABLE_SIZE
     table = [0.0] * (m0 + 1)

@@ -15,8 +15,8 @@ from .errors import DomainError
 # Fixed Miller-Rabin witnesses: exact for all n < 3 317 044 064 679 887 385 961 981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Largest limit for the prime sieve, the a/b tables and the zeta_bracket sum:
-# 10**7 int64 entries take 80 MB, and larger limits are rejected up front.
+# Largest limit for the prime sieve and the term count of partial_dirichlet;
+# larger limits are rejected up front, before anything is allocated.
 TABLE_LIMIT = 10**7
 
 

@@ -15,18 +15,12 @@ smooth main term (2/3) x**1.5.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate
 
-from .core import small_divisor_sums_upto
+from .core import BRUTE_CAP, small_divisor_sums_upto
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# The brute oracle costs O(x sqrt x) divisor marks; capped to keep any
-# accidental large call from stalling a test run.
-BRUTE_CAP = 10**6
 
 # The exact routes loop isqrt(x) times: 10**8 times at this limit, which
 # takes 26-29 s on one core of a 2-core Intel Xeon under CPython 3.11.
@@ -34,24 +28,20 @@ BRUTE_CAP = 10**6
 SUMMATORY_LIMIT = 10**16
 
 
-def summatory_brute_prefix(limit: int) -> np.ndarray:
-    """Read-only array s with s[x] = sum of a(k) for k <= x, for every x <= limit.
+def summatory_brute_prefix(limit: int) -> memoryview:
+    """Read-only int64 buffer s with s[x] = sum of a(k) for k <= x, for every x <= limit.
 
     This is the reference oracle: a(k) values come from the brute divisor-pair
     sieve, then a running prefix sum. Nothing is shared with summatory_exact.
     """
-    import numpy as np
-
     if not 1 <= limit <= BRUTE_CAP:
         raise DomainError(f"brute oracle limited to 1 <= x <= {BRUTE_CAP}")
-    prefix = np.cumsum(small_divisor_sums_upto(limit))
-    prefix.setflags(write=False)
-    return prefix
+    return memoryview(array("q", accumulate(small_divisor_sums_upto(limit)))).toreadonly()
 
 
 def summatory_brute(x: int) -> int:
     """Oracle value of S(x) by brute per-term accumulation; x capped at 10**6."""
-    return int(summatory_brute_prefix(x)[x])
+    return summatory_brute_prefix(x)[x]
 
 
 def summatory_exact(x: int) -> int:

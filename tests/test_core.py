@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference
-from smalldiv import TABLE_LIMIT, core, primes
+from smalldiv import BRUTE_CAP, TABLE_LIMIT, core, primes
 from smalldiv.core import (
     Factorization,
     b_multiplicative,
@@ -20,6 +20,7 @@ from smalldiv.core import (
 )
 from smalldiv.errors import DivisorBudgetError, DomainError
 from smalldiv.primes import first_primes, is_prime
+from smalldiv.summatory import summatory_brute_prefix
 
 
 class TestFactorize:
@@ -344,6 +345,20 @@ class TestTables:
 
     @pytest.mark.parametrize("table", [small_divisor_sums_upto, b_values_upto])
     def test_rejects_limit_above_table_limit(self, table):
-        for limit in (TABLE_LIMIT + 1, 10**10, 10**20):
+        for limit in (BRUTE_CAP + 1, TABLE_LIMIT + 1, 10**10, 10**20):
             with pytest.raises(DomainError):
                 table(limit)
+
+    @pytest.mark.parametrize("table", [small_divisor_sums_upto, b_values_upto, summatory_brute_prefix])
+    def test_read_only(self, table):
+        """The tables are cached and shared between callers, so no caller may write into one."""
+        values = table(100)
+        with pytest.raises(TypeError):
+            values[1] = 0
+        assert values[1] == 1
+
+    @pytest.mark.parametrize("table", [small_divisor_sums_upto, b_values_upto])
+    def test_int64_entries(self, table):
+        """One int64 per entry, t[0] included: perfbench/spans.py reports result.nbytes as the table's bytes."""
+        for limit in (1, 100, 3000):
+            assert table(limit).nbytes == 8 * (limit + 1)

@@ -17,7 +17,7 @@ median and quartiles of:
   imports      milliseconds of interpreter start-up alone, and of importing
                smalldiv.cli and numpy in a fresh interpreter.
 
-It also records whether numpy is loaded after each subcommand ran.
+It also records, per subcommand, whether numpy is loaded after it ran.
 """
 
 import argparse
@@ -39,18 +39,24 @@ KERNELS = {
     "zeta_bracket s=2.5": "d.zeta_bracket(2.5)",
     "zeta_bracket s=1.000001": "d.zeta_bracket(1.000001)",
     "euler_product_b N=1e5": "d.euler_product_b(3.0, 10**5)",
+    "small_divisor_sums_upto 1e6": "core.small_divisor_sums_upto(10**6)",
+    "b_values_upto 1e6": "core.b_values_upto(10**6)",
+    "summatory_brute_prefix 1e6": "summatory.summatory_brute_prefix(10**6)",
 }
 SUBCOMMANDS = {
-    f"{name} N={label}": [*argv, "--terms", str(n)]
-    for name, argv in (("dirichlet", ["dirichlet", "--series", "a", "--sigma", "2.5"]),
-                       ("sandwich", ["sandwich", "--sigma", "2.5"]))
-    for label, n in (("1e5", 10**5), ("1e7", 10**7))
+    **{f"{name} N={label}": [*argv, "--terms", str(n)]
+       for name, argv in (("dirichlet", ["dirichlet", "--series", "a", "--sigma", "2.5"]),
+                          ("sandwich", ["sandwich", "--sigma", "2.5"]))
+       for label, n in (("1e5", 10**5), ("1e7", 10**7))},
+    **{f"summatory x={label} {method}": ["summatory", "--x", str(x), "--method", method]
+       for label, x, method in (("1e2", 10**2, "brute"), ("1e5", 10**5, "both"), ("1e6", 10**6, "brute"))},
 }
 
 _KERNEL_CHILD = """
 import json, random, sys
 from time import perf_counter
 import smalldiv
+from smalldiv import core, summatory
 from smalldiv import dirichlet as d
 
 def clear():
@@ -159,8 +165,8 @@ def main() -> None:
         "metrics": {name: {side: summarize(samples[side][name]) for side in trees}
                     for name in samples["parent"]},
         "numpy loaded after": {
-            side: {argv[0]: json.loads(_child(tree, "-c", _NUMPY_CHILD, json.dumps(argv)))
-                   for argv in (SUBCOMMANDS["dirichlet N=1e5"], SUBCOMMANDS["sandwich N=1e5"])}
+            side: {name: json.loads(_child(tree, "-c", _NUMPY_CHILD, json.dumps(argv)))
+                   for name, argv in SUBCOMMANDS.items()}
             for side, tree in trees.items()
         },
     }
