@@ -42,7 +42,7 @@ def _json_scalar(value) -> str:
     return _fmt(value)
 
 
-def _emit(args, command: str, params: dict, columns: list[str], rows: list[tuple]) -> None:
+def _emit(args, command: str, params: dict, columns: list[str] | tuple[str, ...], rows: list[tuple]) -> None:
     if args.format == "json":
         parts = [f'"command":{json.dumps(command)}']
         parts.append('"params":{' + ",".join(f"{json.dumps(k)}:{_json_scalar(v)}" for k, v in params.items()) + "}")
@@ -56,11 +56,6 @@ def _emit(args, command: str, params: dict, columns: list[str], rows: list[tuple
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _rows(columns: list[str], reports) -> tuple[list[str], list[tuple]]:
-    """One row per report, each cell the report attribute its column names."""
-    return columns, [tuple(getattr(r, c) for c in columns) for r in reports]
 
 
 def _summatory(args):
@@ -79,8 +74,7 @@ def _residual(args):
         args.points = [int(part) for part in args.points.split(",") if part]
     except ValueError as exc:
         raise DomainError(f"malformed points list {args.points!r}") from exc
-    columns = ["x", "s_exact", "main_term", "residual", "normalized_residual"]
-    return _rows(columns, [summatory.residual_report(x) for x in args.points])
+    return summatory.SummatoryReport._fields, [summatory.residual_report(x) for x in args.points]
 
 
 def _dirichlet(args):
@@ -121,9 +115,12 @@ _SIGMA = ("--sigma", dict(type=float, required=True))
 _TERMS = ("--terms", _INT)
 
 # Every subcommand: its help text, its arguments as (flag, argparse keywords),
-# and a compute function from the parsed arguments to (columns, rows). The
-# JSON params are the declared arguments in order. Compute functions look up
-# the library functions when called, so a patched module attribute is seen.
+# and a compute function from the parsed arguments to (columns, rows). A
+# command that prints whole result records (residual, witness, counterexample)
+# takes its columns from the record's _fields and its rows are the records, so
+# each column name is defined once, on the record. The JSON params are the
+# declared arguments in order. Compute functions look up the library
+# functions when called, so a patched module attribute is seen.
 COMMANDS = {
     "a": ("small-divisor sum a(n)", _N,
           lambda args: (["n", "a"], [(args.n, core.small_divisor_sum(args.n))])),
@@ -152,13 +149,11 @@ COMMANDS = {
                             [(args.sigma, args.primes, dirichlet.euler_product_b(args.sigma, args.primes))])),
     "sandwich": ("two-sided zeta comparison for the a-series", [_SIGMA, _TERMS], _sandwich),
     "witness": ("squared-primorial witness report", [("--m", _INT)],
-                lambda args: _rows(["m", "s_m", "a_value", "ratio", "lower_bound"],
-                                   [witness.witness_report(args.m)])),
+                lambda args: (witness.WitnessReport._fields, [witness.witness_report(args.m)])),
     "supermult": ("seeded random coprime supermultiplicativity checks",
                   [("--trials", _INT), ("--max", _INT), ("--seed", _INT)], _supermult),
     "counterexample": ("the fixed 24 * 36 counterexample", [],
-                       lambda args: _rows(["m", "n", "product", "a_product", "a_m_times_a_n", "gcd"],
-                                          [witness.non_complete_counterexample()])),
+                       lambda args: (witness.Counterexample._fields, [witness.non_complete_counterexample()])),
 }
 
 

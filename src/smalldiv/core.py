@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DivisorBudgetError, DomainError
@@ -38,8 +38,7 @@ BRUTE_CAP = 10**6
 _TRIAL_PRIME_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "value factors")):
     """A number together with its prime factorization.
 
     factors is an ascending tuple of (prime, exponent) pairs whose product
@@ -47,11 +46,13 @@ class Factorization:
     validates all of that, including primality of every listed prime.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        self = super().__new__(cls, value, factors)
         self._validate(check_primes=True)
+        return self
 
     @classmethod
     def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
@@ -60,9 +61,7 @@ class Factorization:
         Every check of the constructor runs except the primality tests, so
         factorize tests each prime once rather than twice.
         """
-        f = object.__new__(cls)
-        object.__setattr__(f, "value", value)
-        object.__setattr__(f, "factors", factors)
+        f = tuple.__new__(cls, (value, factors))
         f._validate(check_primes=False)
         return f
 

@@ -28,8 +28,9 @@ What gets certified numerically, all on the real axis:
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 from .primes import TABLE_LIMIT, primes_upto
@@ -49,18 +50,18 @@ def _nudge(v: float, toward: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(namedtuple("Bracket", "lo hi")):
     """A closed interval [lo, hi] of binary64 values containing a real quantity."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace validates too
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __new__(cls, lo: float, hi: float) -> "Bracket":
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("bracket endpoints must be finite")
-        if self.lo > self.hi:
+        if lo > hi:
             raise DomainError("bracket requires lo <= hi")
+        return super().__new__(cls, lo, hi)
 
     @property
     def mid(self) -> float:
@@ -91,8 +92,7 @@ class Series(enum.Enum):
     B = "b"
 
 
-@dataclass(frozen=True)
-class DirichletPartialSum:
+class DirichletPartialSum(NamedTuple):
     """Partial sum of f(k)/k**sigma for k <= n_terms, with a tail bracket when known.
 
     The tail bracket exists only for sigma > 2, where f(k) <= k gives
@@ -275,8 +275,7 @@ def euler_product_b(sigma: float, prime_bound: int) -> float:
     return product
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Endpoint data for the two-sided comparison of L(sigma, a) at one sigma."""
 
     sigma: float

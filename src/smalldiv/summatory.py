@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import BRUTE_CAP, small_divisor_sums_upto
 from .errors import DomainError
@@ -55,8 +55,7 @@ def summatory_exact(x: int) -> int:
     return sum(y * (x // y - y + 1) for y in range(1, math.isqrt(x) + 1))
 
 
-@dataclass(frozen=True)
-class SummatoryReport:
+class SummatoryReport(NamedTuple):
     """S(x) against its main term (2/3) x**1.5.
 
     main_term is binary64 with x**1.5 computed as x * sqrt(x); the normalized
@@ -98,8 +97,7 @@ def sigma_summatory_exact(x: int) -> int:
     return total - r * (r * (r + 1) // 2)
 
 
-@dataclass(frozen=True)
-class SigmaSummatoryReport:
+class SigmaSummatoryReport(NamedTuple):
     """Cross-check companion: sum of sigma(k) against (pi**2/12) x**2."""
 
     x: int

@@ -11,7 +11,7 @@ the inequality can fail when gcd(m, n) > 1.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Factorization, factorize, small_divisor_sum, small_divisor_sum_factored
 from .errors import DomainError, NotCoprimeError
@@ -28,8 +28,7 @@ PAIR_COUNT_LIMIT = 10**5
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """One term of the squared-primorial witness sequence.
 
     s_m is a perfect square, so sqrt(s_m) = isqrt(s_m) exactly and the ratio
@@ -67,8 +66,7 @@ def witness_report(m: int) -> WitnessReport:
     return WitnessReport(m, s_m, a_value, ratio, lower)
 
 
-@dataclass(frozen=True)
-class SupermultCheck:
+class SupermultCheck(NamedTuple):
     """Result of one supermultiplicativity comparison a(mn) >= a(m) a(n)."""
 
     m: int
@@ -103,8 +101,7 @@ def supermult_check(m: int, n: int) -> SupermultCheck:
     return SupermultCheck(m, n, a_mn, a_m * a_n, a_mn >= a_m * a_n)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """The fixed non-coprime pair where a(mn) < a(m) a(n)."""
 
     m: int

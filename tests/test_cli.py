@@ -531,7 +531,7 @@ def test_fuzz_every_command_exits_cleanly(data):
         assert len(err.getvalue().splitlines()) == 1, argv
 
 
-NUMPY_FREE_COMMANDS = [
+PROBE_COMMANDS = [
     ["a", "24"],
     ["b", "72"],
     ["sigma", "360"],
@@ -553,7 +553,11 @@ NUMPY_FREE_COMMANDS = [
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None  # any import of numpy from here on raises ImportError
+# Any import of these from here on raises ImportError. The results are named
+# tuples, so neither dataclasses nor the inspect module it pulls in is needed.
+sys.modules["numpy"] = None
+sys.modules["dataclasses"] = None
+sys.modules["inspect"] = None
 from smalldiv import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -561,16 +565,17 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_no_command_loads_numpy():
-    """Every command, the brute summatory included, runs in a fresh interpreter where numpy cannot be imported."""
+def test_no_command_loads_numpy_or_dataclasses():
+    """Every command, the brute summatory included, runs in a fresh interpreter where
+    numpy, dataclasses and inspect cannot be imported."""
     import smalldiv
 
-    assert {argv[0] for argv in NUMPY_FREE_COMMANDS} == set(cli.COMMANDS)
+    assert {argv[0] for argv in PROBE_COMMANDS} == set(cli.COMMANDS)
 
     src = os.path.dirname(os.path.dirname(smalldiv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(NUMPY_FREE_COMMANDS)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(PROBE_COMMANDS)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -162,6 +162,21 @@ class TestFactorizationInvariants:
         with pytest.raises(DomainError):
             Factorization(2, ())
 
+    def test_replace_validates(self):
+        f = Factorization(16, ((2, 4),))
+        assert f._replace(value=32, factors=((2, 5),)) == Factorization(32, ((2, 5),))
+        with pytest.raises(DomainError):
+            f._replace(value=32)
+        with pytest.raises(DomainError):
+            f._replace(factors=((4, 2),))
+
+    def test_immutable(self):
+        f = factorize(72)
+        with pytest.raises(AttributeError):
+            f.value = 73
+        with pytest.raises(AttributeError):
+            f.extra = 0
+
 
 class TestDivisors:
     def test_examples(self):

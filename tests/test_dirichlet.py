@@ -41,6 +41,23 @@ class TestBracket:
         assert b.lo <= 3.0 and b.hi >= 8.0
         assert b.contains(1.5 * 3.5)
 
+    def test_replace_validates(self):
+        assert Bracket(1.0, 2.0)._replace(hi=3.0) == Bracket(1.0, 3.0)
+        with pytest.raises(DomainError):
+            Bracket(1.0, 2.0)._replace(lo=3.0)
+        with pytest.raises(DomainError):
+            Bracket(1.0, 2.0)._replace(hi=math.nan)
+
+    @pytest.mark.parametrize("record, field", [
+        (Bracket(1.0, 2.0), "lo"),
+        (partial_dirichlet(Series.A, 2.5, 100), "value"),
+    ])
+    def test_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+
 
 class TestZetaBracket:
     GRID = [1.000001, 1.002, 1.01, 1.2, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 10.0, 50.0, 199.0]

@@ -9,15 +9,20 @@ median and quartiles of:
 
   kernels      in-process milliseconds of one call. Every lru_cache in
                smalldiv is cleared before each call, so a call pays for the
-               tables it builds, as a fresh CLI run does. "series-scan op" is
-               the perfbench series-scan operation on a fresh N in
-               [10**5, 1.25*10**5) after one warm-up operation, caches kept.
+               tables it builds, as a fresh CLI run does. A kernel is called
+               5 times a round, or FAST_CALLS times when one of those calls
+               took under FAST_MS, so a fast kernel's median is not read from
+               a few samples that other processes can disturb. "series-scan
+               op" is the perfbench series-scan operation on a fresh N in
+               [10**5, 1.25*10**5) after one warm-up operation, caches kept,
+               FAST_CALLS times a round.
   subcommands  wall milliseconds and ru_maxrss (MB) of `python -m smalldiv.cli`
                children, from os.wait4.
   imports      milliseconds of interpreter start-up alone, and of importing
-               smalldiv.cli and numpy in a fresh interpreter.
+               smalldiv, smalldiv.cli and numpy in a fresh interpreter.
 
-It also records, per subcommand, whether numpy is loaded after it ran.
+It also records, per subcommand, whether numpy and dataclasses are loaded
+after it ran.
 """
 
 import argparse
@@ -31,6 +36,9 @@ import sys
 from time import perf_counter
 
 ROUNDS = 5
+FAST_CALLS = 20
+FAST_MS = 10.0
+LOADED_MODULES = ("numpy", "dataclasses")
 KERNELS = {
     "partial_dirichlet a N=1e5": "d.partial_dirichlet(d.Series.A, 1.5, 10**5)",
     "partial_dirichlet b N=1e5": "d.partial_dirichlet(d.Series.B, 3.0, 10**5)",
@@ -71,10 +79,11 @@ def series_op(n):
     d.partial_dirichlet(d.Series.B, 3.0, n); d.euler_product_b(3.0, n)
     d.sandwich_check(2.5, n)
 
+fast_calls, fast_ms = json.loads(sys.argv[3])
 out = {}
 for name, call in json.loads(sys.argv[1]).items():
     times = []
-    for _ in range(1 if "1e7" in name else 5):
+    while len(times) < 5 or (len(times) < fast_calls and min(times) < fast_ms):
         clear()
         start = perf_counter()
         eval(call)
@@ -83,7 +92,7 @@ for name, call in json.loads(sys.argv[1]).items():
 series_op(90_000)
 rng = random.Random(int(sys.argv[2]))
 times = []
-for _ in range(5):
+for _ in range(fast_calls):
     n = rng.randrange(10**5, 125_000)
     start = perf_counter()
     series_op(n)
@@ -100,12 +109,12 @@ __import__(sys.argv[1])
 print((perf_counter() - start) * 1e3)
 """
 
-_NUMPY_CHILD = """
+_LOADED_CHILD = """
 import contextlib, io, json, sys
 from smalldiv import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(json.loads(sys.argv[1])) == 0
-print(json.dumps("numpy" in sys.modules))
+print(json.dumps({module: module in sys.modules for module in json.loads(sys.argv[2])}))
 """
 
 
@@ -130,14 +139,14 @@ def _wall_and_rss(tree: str, argv: list[str]) -> tuple[float, float]:
 
 
 def measure_round(tree: str, seed: int) -> dict[str, list[float]]:
-    samples = {f"kernel {k}": v for k, v in json.loads(_child(tree, "-c", _KERNEL_CHILD, json.dumps(KERNELS),
-                                                              str(seed))).items()}
+    kernels = _child(tree, "-c", _KERNEL_CHILD, json.dumps(KERNELS), str(seed), json.dumps([FAST_CALLS, FAST_MS]))
+    samples = {f"kernel {k}": v for k, v in json.loads(kernels).items()}
     for name, argv in SUBCOMMANDS.items():
         wall, rss = _wall_and_rss(tree, ["-m", "smalldiv.cli", *argv])
         samples[f"subcommand {name} wall_ms"] = [wall]
         samples[f"subcommand {name} maxrss_mb"] = [rss]
     samples["import interpreter_ms"] = [_wall_and_rss(tree, ["-c", "pass"])[0]]
-    for module in ("smalldiv.cli", "numpy"):
+    for module in ("smalldiv", "smalldiv.cli", "numpy"):
         samples[f"import {module}_ms"] = [float(_child(tree, "-c", _IMPORT_CHILD, module))]
     return samples
 
@@ -164,12 +173,13 @@ def main() -> None:
         "rounds": ROUNDS,
         "metrics": {name: {side: summarize(samples[side][name]) for side in trees}
                     for name in samples["parent"]},
-        "numpy loaded after": {
-            side: {name: json.loads(_child(tree, "-c", _NUMPY_CHILD, json.dumps(argv)))
-                   for name, argv in SUBCOMMANDS.items()}
-            for side, tree in trees.items()
-        },
     }
+    loaded = {side: {name: json.loads(_child(tree, "-c", _LOADED_CHILD, json.dumps(argv), json.dumps(LOADED_MODULES)))
+                     for name, argv in SUBCOMMANDS.items()}
+              for side, tree in trees.items()}
+    for module in LOADED_MODULES:
+        result[f"{module} loaded after"] = {side: {name: flags[module] for name, flags in loaded[side].items()}
+                                            for side in trees}
     with open(args.out, "w") as f:
         # one line per metric
         f.write(re.sub(r"\n {3,}(?=\S)|\n  (?=\})", " ", json.dumps(result, indent=1)) + "\n")
