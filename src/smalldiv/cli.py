@@ -187,7 +187,7 @@ def run(argv: list[str]) -> int:
     except DivisorBudgetError as exc:
         print(f"smalldiv: overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except DomainError as exc:
+    except (DomainError, ArithmeticError) as exc:  # ArithmeticError: Pollard rho gave up on n
         print(f"smalldiv: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     params = {key: getattr(args, key) for key in (flag.lstrip("-") for flag, _ in arguments)}

@@ -89,6 +89,14 @@ def b_values_upto(limit: int) -> list[int]:
     return values
 
 
+def summatory_loop(x: int) -> int:
+    """S(x) as the sum over y <= isqrt(x) of y * (x//y - y + 1), one term at a time.
+
+    Each small divisor y of some k <= x pairs with the cofactors y .. x//y.
+    """
+    return sum(y * (x // y - y + 1) for y in range(1, math.isqrt(x) + 1))
+
+
 def partial_dirichlet(values: list[int], sigma: float, n: int) -> float:
     """Sum of values[k] * k**-sigma for 1 <= k <= n, term by term in ascending k.
 

@@ -251,6 +251,18 @@ class TestErrorHandling:
         assert run_cli(capsys, "a")[0] == 2
         assert run_cli(capsys)[0] == 2
 
+    def test_rho_failure_exit_3(self, capsys, monkeypatch):
+        def give_up(n):
+            raise ArithmeticError(f"rho failed to split {n}")
+
+        # 1009 * 1013 has no prime factor below 1000, so it reaches rho
+        monkeypatch.setattr(cli.core, "_brent_rho", give_up)
+        for command in ("a", "factor"):
+            code, out, err = run_cli(capsys, command, "1022117")
+            assert code == 3
+            assert out == ""
+            assert err == "smalldiv: domain error: rho failed to split 1022117\n"
+
     def test_budget_error_exit_4(self, capsys, monkeypatch):
         def boom(n):
             raise DivisorBudgetError("too many divisors")

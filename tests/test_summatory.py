@@ -75,6 +75,25 @@ class TestExact:
             summatory_exact(0)
 
 
+class TestResidueIdentity:
+    """The residue route against the plain lattice loop it replaced."""
+
+    def test_every_small_x(self):
+        for x in range(1, 3000):
+            assert summatory_exact(x) == reference.summatory_loop(x), x
+
+    def test_around_squares(self):
+        # isqrt(x) steps up at k**2, where an off-by-one in r would show
+        for k in range(1, 401):
+            for x in (k * k - 1, k * k, k * k + 1):
+                if x >= 1:
+                    assert summatory_exact(x) == reference.summatory_loop(x), x
+
+    @pytest.mark.parametrize("x", [10**10 + 7, 11234567891, 10**12])
+    def test_large(self, x):
+        assert summatory_exact(x) == reference.summatory_loop(x)
+
+
 class TestResidualReport:
     def test_x10(self):
         rep = residual_report(10)

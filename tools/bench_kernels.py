@@ -5,7 +5,11 @@
 Each DIR is a checkout holding src/smalldiv. Every measurement runs in a fresh
 interpreter with PYTHONPATH=DIR/src, and the two trees alternate for ROUNDS
 rounds, which side goes first alternating too. The JSON holds, per side, the
-median and quartiles of:
+median and quartiles of the samples pooled over all rounds, and the median of
+the per-round medians ("round_median"). All samples of a round come from one
+child, so a burst of load from other processes moves a whole round together;
+in round_median that burst is one of ROUNDS samples, not one of 20 or more.
+The samples are:
 
   kernels      in-process milliseconds of one call. Every lru_cache in
                smalldiv is cleared before each call, so a call pays for the
@@ -50,6 +54,9 @@ KERNELS = {
     "small_divisor_sums_upto 1e6": "core.small_divisor_sums_upto(10**6)",
     "b_values_upto 1e6": "core.b_values_upto(10**6)",
     "summatory_brute_prefix 1e6": "summatory.summatory_brute_prefix(10**6)",
+    "summatory_exact x=1.1e10": "summatory.summatory_exact(11 * 10**9)",
+    "sigma_summatory_exact x=1.1e10": "summatory.sigma_summatory_exact(11 * 10**9)",
+    "summatory_exact x=1e12": "summatory.summatory_exact(10**12)",
 }
 SUBCOMMANDS = {
     **{f"{name} N={label}": [*argv, "--terms", str(n)]
@@ -151,9 +158,11 @@ def measure_round(tree: str, seed: int) -> dict[str, list[float]]:
     return samples
 
 
-def summarize(values: list[float]) -> dict:
+def summarize(rounds: list[list[float]]) -> dict:
+    values = [v for samples in rounds for v in samples]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3), "n": len(values)}
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3), "n": len(values),
+            "round_median": round(statistics.median(map(statistics.median, rounds)), 3)}
 
 
 def main() -> None:
@@ -163,11 +172,11 @@ def main() -> None:
     parser.add_argument("out")
     args = parser.parse_args()
     trees = {"parent": args.parent, "change": args.change}
-    samples: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
+    samples: dict[str, dict[str, list[list[float]]]] = {side: {} for side in trees}
     for r in range(ROUNDS):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
             for name, values in measure_round(trees[side], seed=r).items():
-                samples[side].setdefault(name, []).extend(values)
+                samples[side].setdefault(name, []).append(values)
     result = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "rounds": ROUNDS,
